@@ -237,16 +237,6 @@ void BM_MetricsCounterEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsCounterEnabled);
 
-void BM_ScopedSpanDisabled(benchmark::State& state) {
-  obs::Tracer tracer;  // disabled by default
-  for (auto _ : state) {
-    obs::ScopedSpan span(&tracer, "bench", 0);
-    benchmark::DoNotOptimize(&tracer);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ScopedSpanDisabled);
-
 // Full-codec encode with the stats sink attached — the per-tensor cost the
 // trainer pays per step when --metrics-out requests per-tensor records.
 void BM_CodecEncodeWithStats(benchmark::State& state) {
@@ -282,7 +272,6 @@ obs::StepTelemetry MakeBenchStep(std::int64_t step) {
   st.push_bits_per_value = 1.2;
   st.pull_bits_per_value = 0.9;
   st.codec_seconds = 0.004;
-  st.step_wall_ms = 12.0;
   st.contributors = 8;
   st.phases_ms = {{"forward_backward", 8.0}, {"encode_push", 2.0}};
   for (int t = 0; t < 4; ++t) {
@@ -324,8 +313,10 @@ BENCHMARK(BM_FlightRecorderRecordStep);
 // ScopedStage sits inside the codec inner stages and the transport read /
 // write paths, so both the disabled (one relaxed load + branch) and the
 // enabled (two clock reads + relaxed accumulator stores) cost must stay
-// nanoseconds. bench_step enforces the end-to-end <2% budget; these keep
-// the per-scope numbers visible.
+// nanoseconds, and a step-phase scope with only its slot live (profiler
+// and tracer off) must cost no more than the two clock reads it needs.
+// bench_step enforces the end-to-end <2% budget; these keep the per-scope
+// numbers visible.
 
 void BM_StageScopeDisabled(benchmark::State& state) {
   obs::StageProfiler profiler;  // disabled by default
@@ -336,6 +327,18 @@ void BM_StageScopeDisabled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StageScopeDisabled);
+
+void BM_StageScopeSlotOnly(benchmark::State& state) {
+  obs::StageProfiler profiler;  // disabled by default
+  obs::Tracer tracer;           // disabled by default
+  std::uint64_t slot_ns = 0;
+  for (auto _ : state) {
+    obs::ScopedStage stage(&profiler, "bench", &slot_ns, {&tracer, 0, 0});
+    benchmark::DoNotOptimize(&slot_ns);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StageScopeSlotOnly);
 
 void BM_StageScopeEnabled(benchmark::State& state) {
   obs::StageProfiler profiler;

@@ -871,8 +871,7 @@ int RunSpawn(const util::Flags& flags) {
 
   const std::string checkpoint_path = flags.GetString("checkpoint-out", "");
   if (!checkpoint_path.empty()) {
-    nn::SaveCheckpoint(*parts.model, checkpoint_path, /*checksum=*/true,
-                       setup.block_codec);
+    nn::SaveCheckpoint(*parts.model, checkpoint_path, setup.block_codec);
     std::printf("checkpoint written to %s\n", checkpoint_path.c_str());
   }
 
@@ -1016,8 +1015,7 @@ int main(int argc, char** argv) {
       const std::string checkpoint_path =
           flags.GetString("checkpoint-out", "");
       if (completed && !checkpoint_path.empty()) {
-        nn::SaveCheckpoint(*parts.model, checkpoint_path,
-                           /*checksum=*/true, setup.block_codec);
+        nn::SaveCheckpoint(*parts.model, checkpoint_path, setup.block_codec);
         std::printf("checkpoint written to %s\n", checkpoint_path.c_str());
       }
       if (telemetry != nullptr) telemetry->Flush();

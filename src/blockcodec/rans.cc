@@ -14,11 +14,8 @@ struct EncSymbol {
   // symbol (freq = 4096) has threshold 2^32, i.e. never renormalizes —
   // its encode step is the identity and carries zero information.
   std::uint64_t x_max = 0;
-  std::uint32_t rcp_freq = 0;  // fixed-point reciprocal of freq
-  std::uint16_t bias = 0;      // cumulative start of the symbol's range
-  std::uint16_t cmpl_freq = 0;  // kProbScale - freq
-  std::uint8_t rcp_shift = 0;
-  bool freq_is_one = false;
+  std::uint32_t freq = 0;
+  std::uint32_t start = 0;  // cumulative start of the symbol's range
 };
 
 // Scale raw counts to sum exactly kProbScale, keeping every present
@@ -57,24 +54,9 @@ void NormalizeFreqs(const std::uint64_t counts[256], std::uint64_t total,
 }
 
 EncSymbol MakeEncSymbol(std::uint32_t start, std::uint32_t f) {
-  EncSymbol sym;
   // ((L >> kProbBits) * 65536) * f with L = 1<<16: the largest pre-encode
   // state that keeps the post-encode state below 2^32.
-  sym.x_max = std::uint64_t{f} << 20;
-  sym.bias = static_cast<std::uint16_t>(start);
-  sym.cmpl_freq = static_cast<std::uint16_t>(kProbScale - f);
-  if (f < 2) {
-    sym.freq_is_one = true;
-  } else {
-    // Fixed-point reciprocal giving exact q = floor(x / f) for 32-bit x:
-    // q = ((x * rcp_freq) >> 32) >> rcp_shift.
-    std::uint32_t shift = 0;
-    while (f > (1u << shift)) ++shift;
-    sym.rcp_freq = static_cast<std::uint32_t>(
-        ((std::uint64_t{1} << (shift + 31)) + f - 1) / f);
-    sym.rcp_shift = static_cast<std::uint8_t>(shift - 1);
-  }
-  return sym;
+  return {std::uint64_t{f} << 20, f, start};
 }
 
 // One encode step: renormalize (at most one 16-bit word — a 32-bit state
@@ -88,13 +70,10 @@ inline std::uint32_t EncStep(std::uint32_t x, const EncSymbol& sym,
   *sp = static_cast<std::uint16_t>(x);
   sp += renorm;
   x = renorm ? x >> 16 : x;
-  if (sym.freq_is_one) {
-    return (x << kProbBits) + sym.bias;
-  }
-  const std::uint32_t q = static_cast<std::uint32_t>(
-      (static_cast<std::uint64_t>(x) * sym.rcp_freq) >> 32) >>
-      sym.rcp_shift;
-  return x + sym.bias + q * sym.cmpl_freq;
+  // Plain division, not a fixed-point reciprocal: the state reaches
+  // min(freq << 20, 2^32) - 1, and the usual 32-bit reciprocal
+  // ((x * rcp) >> 32) >> shift is exact only below 2^31.
+  return ((x / sym.freq) << kProbBits) + x % sym.freq + sym.start;
 }
 
 }  // namespace

@@ -18,12 +18,11 @@ namespace threelc::nn {
 namespace {
 
 constexpr char kMagic[4] = {'3', 'L', 'C', 'K'};
-constexpr std::uint32_t kVersionPlain = 1;       // no trailer
-constexpr std::uint32_t kVersionChecksum = 2;    // CRC32C trailer
+constexpr std::uint32_t kVersionModel = 2;       // tensors + CRC32C trailer
 constexpr std::uint32_t kVersionTrainState = 3;  // + training-state section
 
 // Server checkpoints: distinct magic, own version counter. The body is
-// CRC-protected like a v2+ model checkpoint.
+// CRC-protected like a model checkpoint.
 constexpr char kServerMagic[4] = {'3', 'L', 'C', 'S'};
 constexpr std::uint32_t kServerVersion = 1;
 
@@ -269,7 +268,7 @@ void ReadStateSection(CrcReader& body, TrainState* state) {
 }
 
 void CheckVersion(std::uint32_t version, const std::string& path) {
-  if (version < kVersionPlain || version > kVersionTrainState) {
+  if (version < kVersionModel || version > kVersionTrainState) {
     throw std::runtime_error("checkpoint: unsupported version " +
                              std::to_string(version) + " in " + path);
   }
@@ -277,7 +276,7 @@ void CheckVersion(std::uint32_t version, const std::string& path) {
 
 // Shared load path: restores tensors, fills *state from a v3 section when
 // requested (require_state), otherwise validates and discards it, and
-// verifies the CRC trailer for version >= 2.
+// verifies the CRC trailer.
 void LoadImpl(Model& model, TrainState* state, bool require_state,
               const std::string& path) {
   const std::vector<std::uint8_t> bytes =
@@ -302,12 +301,10 @@ void LoadImpl(Model& model, TrainState* state, bool require_state,
     TrainState discard;
     ReadStateSection(body, state != nullptr ? state : &discard);
   }
-  if (version >= kVersionChecksum) {
-    const auto stored = ReadScalarRaw<std::uint32_t>(in);
-    if (stored != body.crc) {
-      throw std::runtime_error("checkpoint: CRC32C mismatch in " + path +
-                               " (file corrupt)");
-    }
+  const auto stored = ReadScalarRaw<std::uint32_t>(in);
+  if (stored != body.crc) {
+    throw std::runtime_error("checkpoint: CRC32C mismatch in " + path +
+                             " (file corrupt)");
   }
 }
 
@@ -361,16 +358,16 @@ void ReadServerStateSection(CrcReader& body, ServerState* state) {
 
 }  // namespace
 
-void SaveCheckpoint(Model& model, const std::string& path, bool checksum,
+void SaveCheckpoint(Model& model, const std::string& path,
                     const std::string& block_codec, util::Fs* fs) {
   util::ByteBuffer blob;
   blob.Append(kMagic, sizeof(kMagic));
-  const std::uint32_t version = checksum ? kVersionChecksum : kVersionPlain;
+  const std::uint32_t version = kVersionModel;
   blob.Append(&version, sizeof(version));
 
   CrcWriter body{blob};
   WriteTensorSection(body, model);
-  if (checksum) blob.Append(&body.crc, sizeof(body.crc));
+  blob.Append(&body.crc, sizeof(body.crc));
   WriteBlob(path, blob, block_codec, "checkpoint", fs);
 }
 

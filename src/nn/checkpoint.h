@@ -7,18 +7,18 @@
 //   magic "3LCK" | u32 version | u32 tensor_count
 //   per tensor: u32 name_len | name bytes | u32 rank | i64 dims...
 //               | f32 data...
-//   version >= 3: training-state section after the tensors —
-//                 u64 next_step | u32 codec_state_len | codec state bytes
-//                 | u32 sampler_state_len | sampler state bytes
-//   version >= 2: u32 CRC32C trailer over every byte after the version
-//                 field (tensor_count through the end of the body)
+//   version 3:  training-state section after the tensors —
+//               u64 next_step | u32 codec_state_len | codec state bytes
+//               | u32 sampler_state_len | sampler state bytes
+//   u32 CRC32C trailer over every byte after the version field
+//   (tensor_count through the end of the body)
 // Buffers (batch-norm running statistics) are stored after parameters
 // under the synthetic names "__buffer_<i>".
 //
-// Version 1 files (no checksum trailer) are still readable; version 2 is
-// written by default so bit rot in a checkpoint fails loudly at load time
-// instead of silently corrupting a resumed run. Version 3 additionally
-// carries the worker's mid-run training state — the codec's per-tensor
+// Version 2 (model only) and version 3 are the only layouts: the trailer
+// makes bit rot in a checkpoint fail loudly at load time instead of
+// silently corrupting a resumed run. Version 3 additionally carries the
+// worker's mid-run training state — the codec's per-tensor
 // error-accumulation buffers, the data-pipeline cursor, and the step
 // counter — so a crashed worker restarts with a bitwise-identical
 // trajectory instead of silently discarding accumulated quantization
@@ -74,22 +74,19 @@ struct TrainState {
   std::vector<std::uint8_t> sampler_state;
 };
 
-// Writes all parameters and buffers of `model`. When `checksum` is true
-// (the default) the file carries a CRC32C trailer (format version 2);
-// false writes the legacy version-1 layout. `block_codec` names the
-// lossless block codec wrapping the file in the "3LCZ" container above
-// ("store", the default, writes the bare stream). Throws
-// std::runtime_error on I/O failure or an unknown codec name.
+// Writes all parameters and buffers of `model` (format version 2).
+// `block_codec` names the lossless block codec wrapping the file in the
+// "3LCZ" container above ("store", the default, writes the bare stream).
+// Throws std::runtime_error on I/O failure or an unknown codec name.
 void SaveCheckpoint(Model& model, const std::string& path,
-                    bool checksum = true,
                     const std::string& block_codec = "store",
                     util::Fs* fs = nullptr);
 
 // Restores a checkpoint written by SaveCheckpoint into an architecturally
-// identical model, verifying the CRC32C trailer when present. Throws
-// std::runtime_error on I/O failure, format corruption, checksum mismatch,
-// or architecture mismatch (name/shape disagreement). Accepts v3 files,
-// validating but discarding the training-state section.
+// identical model, verifying the CRC32C trailer. Throws std::runtime_error
+// on I/O failure, an unsupported version, format corruption, checksum
+// mismatch, or architecture mismatch (name/shape disagreement). Accepts v3
+// files, validating but discarding the training-state section.
 void LoadCheckpoint(Model& model, const std::string& path);
 
 // Writes a version-3 checkpoint: model tensors plus `state`, always with

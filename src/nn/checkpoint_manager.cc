@@ -1,7 +1,5 @@
 #include "nn/checkpoint_manager.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
@@ -31,11 +29,6 @@ bool AllDigits(const std::string& s) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
   }
   return true;
-}
-
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
 }
 
 }  // namespace
@@ -106,9 +99,6 @@ bool CheckpointManager::Load(Model& model, ServerState* state,
   for (auto it = generations_.rbegin(); it != generations_.rend(); ++it) {
     candidates.push_back(GenerationPath(*it));
   }
-  // Checkpoints written before generations existed live at the bare
-  // path; try it last so an upgraded server still resumes from them.
-  if (FileExists(options_.path)) candidates.push_back(options_.path);
 
   for (const std::string& candidate : candidates) {
     ServerState scratch;

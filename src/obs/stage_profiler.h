@@ -1,19 +1,22 @@
-// Hierarchical stage profiler for hot paths (codec stages, transport
-// frame handling, server step phases).
+// Hierarchical stage profiler, fed by ScopedStage — the one phase timer
+// of the stack (codec stages, transport frame handling, and the server,
+// worker and trainer step phases). Each scope's single pair of
+// steady_clock reads feeds the profiler, a step-stamped trace span and a
+// per-step slot (see ScopedStage), so those views agree to the nanosecond.
 //
 // Design rules, mirroring MetricsRegistry:
-//  - Compiled in everywhere, disabled by default. A ScopedStage against a
-//    disabled profiler costs one relaxed atomic load and a predictable
-//    branch (bench_kernels measures this as BM_StageScopeDisabled).
+//  - Compiled in everywhere, disabled by default. A ScopedStage with every
+//    sink off costs one relaxed atomic load and a predictable branch
+//    (bench_kernels measures this as BM_StageScopeDisabled).
 //  - An enabled ScopedStage accumulates into thread-local, single-writer
 //    slots: two steady_clock reads plus a handful of relaxed stores, no
 //    locks and no allocation on the steady-state path. The only locking
 //    happens the first time a thread sees a new (parent, name) pair.
 //  - Stages are hierarchical: a ScopedStage opened while another is live
 //    on the same thread becomes its child, and the stage's identity is the
-//    full path ("server_step/decode_aggregate/3lc_decode/zre"). The same
-//    leaf name under different parents is a different stage, which is how
-//    one codec instrumentation serves both the push and pull directions.
+//    full path ("server_step/decode/3lc_decode/zre"). The same leaf name
+//    under different parents is a different stage, which is how one codec
+//    instrumentation serves both the push and pull directions.
 //  - Snapshot() merges every thread's accumulators outside the hot path
 //    (the scraping thread pays the cost, not the step loop). Counts and
 //    totals may be torn by in-flight recordings — profiling tolerance, not
@@ -31,6 +34,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/trace.h"
 
 namespace threelc::obs {
 
@@ -159,36 +164,71 @@ class StageProfiler {
   std::vector<std::unique_ptr<ThreadState>> threads_;
 };
 
-// RAII stage timer. Null or disabled profiler makes every member a no-op.
+// Where a ScopedStage's span goes: `tracer` (null or disabled = no span),
+// the logical track (0 = server, 1 + w = worker w), and the training step
+// stamped into the span (-1 = untagged).
+struct SpanTarget {
+  Tracer* tracer = nullptr;
+  int track = 0;
+  std::int64_t step = -1;
+};
+
+// RAII phase timer. One pair of steady_clock reads feeds up to three sinks:
+//  - the profiler stage, when `profiler` is enabled;
+//  - a span named `name` on `span`, when its tracer is enabled;
+//  - `*slot_ns`, always, when non-null: the caller-owned per-step record
+//    (phases_ms, the worker TELEMETRY frame). Slots are summed, so a scope
+//    entered once per tensor adds up.
+// With every sink off the clock is never read.
 class ScopedStage {
  public:
   // `name` must be a string literal (or otherwise outlive the profiler):
   // the per-thread child cache keys on pointer identity.
-  ScopedStage(StageProfiler* profiler, const char* name) {
-    if (profiler == nullptr || !profiler->enabled()) return;
-    ts_ = profiler->GetThreadState();
-    parent_ = ts_->current;
-    id_ = profiler->ResolveChild(*ts_, parent_, name);
-    ts_->current = id_;
-    start_ = std::chrono::steady_clock::now();
+  ScopedStage(StageProfiler* profiler, const char* name,
+              std::uint64_t* slot_ns = nullptr, const SpanTarget& span = {})
+      : name_(name), slot_(slot_ns) {
+    if (profiler != nullptr && profiler->enabled()) {
+      ts_ = profiler->GetThreadState();
+      parent_ = ts_->current;
+      id_ = profiler->ResolveChild(*ts_, parent_, name);
+      ts_->current = id_;
+    }
+    if (span.tracer != nullptr && span.tracer->enabled()) span_ = span;
+    if (timed()) start_ = std::chrono::steady_clock::now();
   }
 
   ScopedStage(const ScopedStage&) = delete;
   ScopedStage& operator=(const ScopedStage&) = delete;
 
   ~ScopedStage() {
-    if (ts_ == nullptr) return;
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    ts_->Record(id_, ns > 0 ? static_cast<std::uint64_t>(ns) : 0);
-    ts_->current = parent_;
+    if (!timed()) return;
+    const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             std::chrono::steady_clock::now() - start_)
+                             .count();
+    const std::uint64_t ns =
+        elapsed > 0 ? static_cast<std::uint64_t>(elapsed) : 0;
+    if (slot_ != nullptr) *slot_ += ns;
+    if (ts_ != nullptr) {
+      ts_->Record(id_, ns);
+      ts_->current = parent_;
+    }
+    if (span_.tracer != nullptr) {
+      span_.tracer->RecordSpan(name_, span_.track, span_.tracer->ToUs(start_),
+                               static_cast<double>(ns) * 1e-3, span_.step);
+    }
   }
 
  private:
+  bool timed() const {
+    return ts_ != nullptr || slot_ != nullptr || span_.tracer != nullptr;
+  }
+
   StageProfiler::ThreadState* ts_ = nullptr;
   int parent_ = -1;
   int id_ = -1;
+  const char* name_;
+  std::uint64_t* slot_;
+  SpanTarget span_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -141,6 +141,12 @@ double Telemetry::UptimeSeconds() const {
       .count();
 }
 
+double StepTelemetry::WallMs() const {
+  double total = 0.0;
+  for (const Phase& phase : phases_ms) total += phase.ms;
+  return total;
+}
+
 std::string Telemetry::StepToJson(const StepTelemetry& s) {
   std::string out;
   out.reserve(256 + s.tensors.size() * 160);
@@ -165,7 +171,7 @@ std::string Telemetry::StepToJson(const StepTelemetry& s) {
   out += ",\"codec_seconds\":";
   AppendJsonNumber(out, s.codec_seconds);
   out += ",\"step_wall_ms\":";
-  AppendJsonNumber(out, s.step_wall_ms);
+  AppendJsonNumber(out, s.WallMs());
   out += ",\"contributors\":";
   AppendJsonNumber(out, static_cast<std::int64_t>(s.contributors));
   out += ",\"phases_ms\":{";
@@ -223,6 +229,14 @@ void Telemetry::LogStep(const StepTelemetry& step) {
   if (flight_) flight_->RecordStep(step);
   if (health_) health_->ObserveStep(step);
   if (!metrics_.enabled()) return;
+  // The /metricsz view of the step breakdown, derived here so every
+  // caller exports the same families.
+  for (const StepTelemetry::Phase& phase : step.phases_ms) {
+    metrics_.histogram(std::string("step/") + phase.name + "_ms", 0.0, 1000.0,
+                       200)
+        ->Add(phase.ms);
+  }
+  metrics_.histogram("step/total_ms", 0.0, 1000.0, 200)->Add(step.WallMs());
   const std::string line = StepToJson(step);
   std::lock_guard<std::mutex> lock(mu_);
   if (!metrics_out_.is_open()) return;

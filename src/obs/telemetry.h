@@ -6,7 +6,7 @@
 //   {"type":"step","step":N,"loss":..,"lr":..,
 //    "push_bytes":..,"pull_bytes":..,"push_values":..,"pull_values":..,
 //    "push_bits_per_value":..,"pull_bits_per_value":..,
-//    "codec_seconds":..,"contributors":..,
+//    "codec_seconds":..,"step_wall_ms":..,"contributors":..,
 //    "phases_ms":{"forward_backward":..,"encode_push":..,...},
 //    "tensors":[{"name":"dense0/W","elements":..,"push_bytes":..,
 //                "pull_bytes":..,"zero_frac":..,"plus_frac":..,
@@ -88,15 +88,22 @@ struct StepTelemetry {
   double push_bits_per_value = 0.0;
   double pull_bits_per_value = 0.0;
   double codec_seconds = 0.0;  // critical-path codec CPU time
-  double step_wall_ms = 0.0;   // critical-path wall time of the whole step
   int contributors = 0;
   struct Phase {
-    const char* name;
+    const char* name;  // the ScopedStage (and span) name that timed it
     double ms;
   };
   std::vector<Phase> phases_ms;  // critical-path phase wall times
   std::vector<TensorStepTelemetry> tensors;
+
+  // Critical-path wall time of the whole step: the sum of phases_ms.
+  double WallMs() const;
 };
+
+// Phase slots are filled by ScopedStage in nanoseconds.
+inline double NsToMs(std::uint64_t ns) {
+  return 1e-6 * static_cast<double>(ns);
+}
 
 class Telemetry {
  public:
@@ -136,7 +143,8 @@ class Telemetry {
   // Seconds since this Telemetry was constructed (served by /statusz).
   double UptimeSeconds() const;
 
-  // Append one step record to the metrics JSONL and feed the flight
+  // Append one step record to the metrics JSONL, record its phases into
+  // the step/<phase>_ms and step/total_ms histograms, and feed the flight
   // recorder + health watchdog. Thread-safe.
   void LogStep(const StepTelemetry& step);
 

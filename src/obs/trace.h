@@ -1,4 +1,4 @@
-// Scoped span tracer with Chrome trace-event export.
+// Span tracer with Chrome trace-event export.
 //
 // Spans are recorded on logical *tracks* — the simulated machines of the
 // parameter-server architecture (track 0 = server, 1+w = worker w) — rather
@@ -9,9 +9,11 @@
 // WriteChromeTrace emits the JSON trace-event format ("X" complete events
 // plus thread_name metadata) loadable in about:tracing and Perfetto.
 //
-// Cost model: a ScopedSpan against a null or disabled tracer is two branch
-// instructions; an enabled span is two steady_clock reads and one short
-// mutex-guarded vector push_back (per phase per step, never per tensor).
+// Spans come from obs::ScopedStage (stage_profiler.h), the one phase timer:
+// a scope given a SpanTarget on an enabled tracer records its duration
+// here, named after its stage. Cost: a null or disabled tracer is one
+// branch; an enabled span is one short mutex-guarded vector push_back per
+// scope.
 #pragma once
 
 #include <atomic>
@@ -45,12 +47,11 @@ class Tracer {
   void set_enabled(bool enabled) { enabled_.store(enabled); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  // Microseconds since tracer construction.
-  double NowUs() const {
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - origin_)
-        .count();
+  // Microseconds from tracer construction to `t`, or to now.
+  double ToUs(std::chrono::steady_clock::time_point t) const {
+    return std::chrono::duration<double, std::micro>(t - origin_).count();
   }
+  double NowUs() const { return ToUs(std::chrono::steady_clock::now()); }
 
   // Label a track ("server", "worker 0"); shown as the thread name.
   void SetTrackName(int track, std::string name);
@@ -84,36 +85,6 @@ class Tracer {
   std::vector<TraceEvent> events_;
   std::vector<CounterEvent> counters_;
   std::map<int, std::string> track_names_;
-};
-
-// RAII span: measures construction-to-destruction against `tracer`'s clock.
-// A null tracer (telemetry off) makes every member a no-op.
-class ScopedSpan {
- public:
-  ScopedSpan(Tracer* tracer, const char* name, int track,
-             std::int64_t step = -1)
-      : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
-        name_(name),
-        track_(track),
-        step_(step),
-        start_us_(tracer_ != nullptr ? tracer_->NowUs() : 0.0) {}
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  ~ScopedSpan() {
-    if (tracer_ != nullptr) {
-      tracer_->RecordSpan(name_, track_, start_us_,
-                          tracer_->NowUs() - start_us_, step_);
-    }
-  }
-
- private:
-  Tracer* tracer_;
-  const char* name_;
-  int track_;
-  std::int64_t step_;
-  double start_us_;
 };
 
 }  // namespace threelc::obs

@@ -5,7 +5,6 @@
 
 #include "tensor/tensor_ops.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace threelc::ps {
 
@@ -49,20 +48,23 @@ void ParameterServer::BeginStep() {
 }
 
 void ParameterServer::ReceivePush(std::size_t idx, ByteReader& payload,
-                                  bool aggregate) {
+                                  bool aggregate,
+                                  const obs::SpanTarget& span) {
   THREELC_CHECK(idx < slots_.size());
   Slot& slot = slots_[idx];
-  util::WallTimer timer;
-  if (plan_->entry(idx).compressed) {
-    codec_->Decode(payload, slot.scratch);
-  } else {
-    payload.ReadInto(slot.scratch.data(), slot.scratch.byte_size());
+  obs::StageProfiler* prof = &obs::StageProfiler::Global();
+  {
+    obs::ScopedStage stage(prof, "decode", &step_timings_.decode_ns, span);
+    if (plan_->entry(idx).compressed) {
+      codec_->Decode(payload, slot.scratch);
+    } else {
+      payload.ReadInto(slot.scratch.data(), slot.scratch.byte_size());
+    }
   }
-  step_timings_.decode_ms += timer.ElapsedMillis();
   if (aggregate) {
-    timer.Reset();
+    obs::ScopedStage stage(prof, "aggregate", &step_timings_.aggregate_ns,
+                           span);
     tensor::Add(slot.agg_grad, slot.scratch);
-    step_timings_.aggregate_ms += timer.ElapsedMillis();
   }
 }
 

@@ -20,6 +20,7 @@
 #include "compress/compressor.h"
 #include "nn/model.h"
 #include "nn/optimizer.h"
+#include "obs/stage_profiler.h"
 #include "ps/plan.h"
 
 namespace threelc::ps {
@@ -52,15 +53,18 @@ class ParameterServer {
 
   // Decode one worker's gradient push for tensor `idx`. When `aggregate`
   // is false the payload is consumed but discarded — how the server treats
-  // pushes arriving after the backup-worker quorum is met (§2.1).
-  void ReceivePush(std::size_t idx, ByteReader& payload, bool aggregate = true);
+  // pushes arriving after the backup-worker quorum is met (§2.1). The
+  // codec decode and the gradient add are the "decode" and "aggregate"
+  // stages, traced on `span` when it names an enabled tracer.
+  void ReceivePush(std::size_t idx, ByteReader& payload, bool aggregate = true,
+                   const obs::SpanTarget& span = {});
 
-  // Wall time this step spent inside ReceivePush, split into the codec
-  // decode and the gradient accumulation — the decode/aggregate halves of
-  // the RunStep breakdown. Reset by BeginStep.
+  // Wall time this step spent in ReceivePush's decode and aggregate
+  // stages, summed over calls — the decode/aggregate phases of the RunStep
+  // breakdown. Reset by BeginStep.
   struct StepTimings {
-    double decode_ms = 0.0;
-    double aggregate_ms = 0.0;
+    std::uint64_t decode_ns = 0;
+    std::uint64_t aggregate_ns = 0;
   };
   const StepTimings& step_timings() const { return step_timings_; }
 

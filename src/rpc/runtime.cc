@@ -891,31 +891,29 @@ void RpcServer::StampBarrierArrival(std::size_t w) {
 }
 
 bool RpcServer::RunStep(std::int64_t step, float lr) {
-  obs::Tracer* tracer =
-      config_.telemetry != nullptr ? &config_.telemetry->tracer() : nullptr;
   obs::StageProfiler* prof = &obs::StageProfiler::Global();
+  // Every phase is one ScopedStage: the profiler stage, a span stamped
+  // with the step id (so merge_traces.py can line it up against each
+  // worker's spans from other processes), and the phase's ns slot.
+  const obs::SpanTarget span{
+      config_.telemetry != nullptr ? &config_.telemetry->tracer() : nullptr,
+      0, step};
   const std::size_t num_tensors = ps_->plan().size();
-
-  // Whole-step span, stamped with the step id so merge_traces.py can line
-  // this up against each worker's push/pull spans from other processes.
-  obs::ScopedSpan step_span(tracer, "rpc/step", 0, step);
-  obs::ScopedStage step_stage(prof, "server_step");
+  obs::ScopedStage step_stage(prof, "server_step", nullptr, span);
 
   // The barrier budget covers the grace window: a dead worker may consume
   // all of grace_ms rejoining (or being evicted) before the barrier can
   // possibly complete.
   const int barrier_timeout_ms =
       config_.step_timeout_ms + std::max(config_.grace_ms, 0);
-  util::WallTimer barrier_timer;
+  std::uint64_t barrier_ns = 0;
   {
-    obs::ScopedSpan span(tracer, "rpc/step_barrier", 0, step);
-    obs::ScopedStage stage(prof, "barrier");
+    obs::ScopedStage stage(prof, "step_barrier", &barrier_ns, span);
     if (!PollUntil([this] { return BarrierDone(); }, barrier_timeout_ms,
                    "step barrier")) {
       return false;
     }
   }
-  const double barrier_ms = barrier_timer.ElapsedMillis();
 
   // The worker set this step's aggregate is computed over, frozen at
   // barrier completion. Membership can only shrink from here (a fan-out
@@ -959,7 +957,6 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
   // Decode + aggregate in worker-id order — the same float-addition order
   // as DistributedTrainer::Run, which is what makes the distributed model
   // bitwise identical to the in-process one.
-  util::WallTimer decode_timer;
   util::CpuTimer decode_cpu;
   // Stage-1 bytes (what the tensor codec produced; the envelope was
   // already stripped at frame arrival) vs wire bytes (what actually
@@ -969,47 +966,39 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
   for (std::size_t w : contributors) {
     push_wire_bytes += static_cast<std::size_t>(push_wire_bytes_[w]);
   }
+  // ReceivePush times its codec decodes and gradient adds as the
+  // "decode" and "aggregate" phases (one span per tensor per worker).
   ps_->BeginStep();
-  {
-    obs::ScopedSpan span(tracer, "rpc/decode_aggregate", 0, step);
-    obs::ScopedStage stage(prof, "decode_aggregate");
-    try {
-      for (std::size_t w : contributors) {
-        for (std::size_t t = 0; t < num_tensors; ++t) {
-          push_bytes += push_payloads_[w][t].size();
-          util::ByteReader reader(push_payloads_[w][t]);
-          ps_->ReceivePush(t, reader, /*aggregate=*/true);
-          if (!reader.AtEnd()) {
-            Fail("trailing bytes in PUSH payload from worker " +
-                 std::to_string(w) + " tensor " + std::to_string(t));
-            return false;
-          }
+  try {
+    for (std::size_t w : contributors) {
+      for (std::size_t t = 0; t < num_tensors; ++t) {
+        push_bytes += push_payloads_[w][t].size();
+        util::ByteReader reader(push_payloads_[w][t]);
+        ps_->ReceivePush(t, reader, /*aggregate=*/true, span);
+        if (!reader.AtEnd()) {
+          Fail("trailing bytes in PUSH payload from worker " +
+               std::to_string(w) + " tensor " + std::to_string(t));
+          return false;
         }
       }
-    } catch (const std::exception& e) {
-      Fail(std::string("decoding pushes for step ") + std::to_string(step) +
-           ": " + e.what());
-      return false;
     }
+  } catch (const std::exception& e) {
+    Fail(std::string("decoding pushes for step ") + std::to_string(step) +
+         ": " + e.what());
+    return false;
   }
-  const double decode_ms = decode_timer.ElapsedMillis();
   const double decode_cpu_s = decode_cpu.ElapsedSeconds();
-  // ReceivePush timed its codec decodes and gradient adds separately; the
-  // remainder of the loop (readers, bookkeeping) stays out of both halves.
-  const ps::ParameterServer::StepTimings split = ps_->step_timings();
 
-  util::WallTimer optimize_timer;
+  std::uint64_t optimize_ns = 0;
   {
-    obs::ScopedSpan span(tracer, "rpc/optimize", 0, step);
-    obs::ScopedStage stage(prof, "optimize");
+    obs::ScopedStage stage(prof, "optimize", &optimize_ns, span);
     ps_->Update(lr, static_cast<int>(num_contributors));
   }
-  const double optimize_ms = optimize_timer.ElapsedMillis();
 
   // Encode each pull payload once; every worker is queued the same frame
   // bytes (the paper's shared pull compression, §3). The encoded frames
   // are also retained in the replay ring so a rejoiner can be caught up.
-  util::WallTimer encode_timer;
+  std::uint64_t encode_ns = 0;
   util::CpuTimer encode_cpu;
   std::size_t pull_stage1_bytes = 0;
   std::size_t pull_payload_bytes = 0;
@@ -1017,8 +1006,7 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
   const auto max_replay =
       static_cast<std::size_t>(std::max(config_.replay_steps, 0));
   {
-    obs::ScopedSpan span(tracer, "rpc/encode", 0, step);
-    obs::ScopedStage stage(prof, "encode");
+    obs::ScopedStage stage(prof, "encode", &encode_ns, span);
     ps_->PreparePulls();
     std::vector<util::ByteBuffer> step_frames(num_tensors);
     for (std::size_t t = 0; t < num_tensors; ++t) {
@@ -1048,19 +1036,16 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
       replay_.pop_front();
     }
   }
-  const double encode_ms = encode_timer.ElapsedMillis();
   const double codec_seconds = decode_cpu_s + encode_cpu.ElapsedSeconds();
 
   // Write-ahead server checkpoint: this step's state is final (aggregate
   // applied, pulls encoded, ring updated) and nothing has been sent, so a
   // crash from here on restores to a point no worker can be ahead of.
-  util::WallTimer checkpoint_timer;
+  std::uint64_t checkpoint_ns = 0;
   {
-    obs::ScopedSpan span(tracer, "rpc/checkpoint", 0, step);
-    obs::ScopedStage stage(prof, "checkpoint");
+    obs::ScopedStage stage(prof, "checkpoint", &checkpoint_ns, span);
     if (!WriteCheckpoint(step + 1, /*force=*/false)) return false;
   }
-  const double checkpoint_ms = checkpoint_timer.ElapsedMillis();
 
   // Chaos drill: die between the checkpoint write and the fan-out — the
   // window where a generation fallback on resume is provably bitwise-safe
@@ -1071,10 +1056,9 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
     return false;
   }
 
-  util::WallTimer fanout_timer;
+  std::uint64_t fanout_ns = 0;
   {
-    obs::ScopedSpan span(tracer, "rpc/fan_out", 0, step);
-    obs::ScopedStage stage(prof, "fan_out");
+    obs::ScopedStage stage(prof, "fan_out", &fanout_ns, span);
     const std::vector<util::ByteBuffer>& fanout = replay_.back().second;
     for (std::size_t t = 0; t < num_tensors; ++t) {
       for (std::size_t w : contributors) {
@@ -1101,7 +1085,6 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
     }
     if (max_replay == 0) replay_.clear();
   }
-  const double fanout_ms = fanout_timer.ElapsedMillis();
 
   // Accept the next step's pushes before blocking on anything else — a
   // fast worker pushes step+1 as soon as its pulls drain.
@@ -1151,26 +1134,14 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
     }
     st.codec_seconds = codec_seconds;
     st.contributors = static_cast<int>(num_contributors);
-    // decode/aggregate come from the server's own ReceivePush split; the
-    // small difference against decode_ms (frame readers, bookkeeping) is
-    // charged to decode so the phases still sum to the step wall time.
-    const double aggregate_ms = split.aggregate_ms;
-    const double decode_only_ms = std::max(decode_ms - aggregate_ms, 0.0);
-    st.phases_ms = {{"step_barrier", barrier_ms}, {"decode", decode_only_ms},
-                    {"aggregate", aggregate_ms},  {"optimize", optimize_ms},
-                    {"encode", encode_ms},        {"checkpoint", checkpoint_ms},
-                    {"fan_out", fanout_ms}};
-    for (const auto& phase : st.phases_ms) st.step_wall_ms += phase.ms;
-    // Per-phase histograms: the /metricsz view of the step breakdown
-    // (bounds match the trainer's train/step_ms idiom).
-    for (const auto& phase : st.phases_ms) {
-      tel->metrics()
-          .histogram(std::string("step/") + phase.name + "_ms", 0.0, 1000.0,
-                     200)
-          ->Add(phase.ms);
-    }
-    tel->metrics().histogram("step/total_ms", 0.0, 1000.0, 200)
-        ->Add(st.step_wall_ms);
+    const ps::ParameterServer::StepTimings& split = ps_->step_timings();
+    st.phases_ms = {{"step_barrier", obs::NsToMs(barrier_ns)},
+                    {"decode", obs::NsToMs(split.decode_ns)},
+                    {"aggregate", obs::NsToMs(split.aggregate_ns)},
+                    {"optimize", obs::NsToMs(optimize_ns)},
+                    {"encode", obs::NsToMs(encode_ns)},
+                    {"checkpoint", obs::NsToMs(checkpoint_ns)},
+                    {"fan_out", obs::NsToMs(fanout_ns)}};
     tel->LogStep(st);
   }
   return true;
@@ -1583,7 +1554,8 @@ bool RpcServer::Run() {
   // still shaking hands (or, after a resume, still rejoining).
   BeginCollect(resume_step_);
   {
-    obs::ScopedSpan span(tracer, "rpc/handshake", 0);
+    obs::ScopedStage stage(&obs::StageProfiler::Global(), "handshake",
+                           nullptr, {tracer, 0});
     if (!PollUntil(
             [this] {
               return handshakes_ ==
@@ -1939,24 +1911,29 @@ bool RpcWorker::RejoinHandshake(Connection& conn,
   return true;
 }
 
+obs::SpanTarget RpcWorker::StepSpan(std::int64_t step) const {
+  return {config_.telemetry != nullptr ? &config_.telemetry->tracer() : nullptr,
+          1 + config_.worker_id, step};
+}
+
 void RpcWorker::ComputeStep(std::int64_t step) {
-  obs::Tracer* tracer =
-      config_.telemetry != nullptr ? &config_.telemetry->tracer() : nullptr;
-  const int track = 1 + config_.worker_id;
-  obs::ScopedSpan span(tracer, "forward_backward", track, step);
-  // Plain wall timers, not profiler scopes: spawned workers run with no
-  // Telemetry at all, and these numbers ship to the server in the step's
-  // TELEMETRY frame either way.
+  // The phase scopes fill the TELEMETRY record's ns fields even with the
+  // profiler and tracer off: spawned workers run with no Telemetry at all,
+  // and these numbers ship to the server in the step's TELEMETRY frame
+  // either way.
+  obs::StageProfiler* prof = &obs::StageProfiler::Global();
+  const obs::SpanTarget span = StepSpan(step);
   pending_telemetry_ = TelemetryPayload{};
-  util::WallTimer fb_timer;
-  data::Batch batch = sampler_.Next(config_.batch_size);
-  pending_loss_ = static_cast<float>(
-      worker_->model().TrainStep(batch.inputs, batch.labels).loss);
-  pending_telemetry_.forward_backward_ns =
-      static_cast<std::uint64_t>(fb_timer.ElapsedSeconds() * 1e9);
+  {
+    obs::ScopedStage stage(prof, "forward_backward",
+                           &pending_telemetry_.forward_backward_ns, span);
+    data::Batch batch = sampler_.Next(config_.batch_size);
+    pending_loss_ = static_cast<float>(
+        worker_->model().TrainStep(batch.inputs, batch.labels).loss);
+  }
+  obs::ScopedStage stage(prof, "encode", &pending_telemetry_.encode_ns, span);
   const std::size_t num_tensors = plan_->size();
   pending_push_.resize(num_tensors);
-  util::WallTimer encode_timer;
   double ea_sq = 0.0;
   for (std::size_t t = 0; t < num_tensors; ++t) {
     pending_push_[t].Clear();
@@ -1969,7 +1946,7 @@ void RpcWorker::ComputeStep(std::int64_t step) {
     // Wrap each push in the negotiated block envelope. pending_push_
     // keeps the wrapped bytes, so a resend after a reconnect ships the
     // identical wire payload without re-running either codec stage.
-    obs::ScopedStage stage(&obs::StageProfiler::Global(), "block_encode");
+    obs::ScopedStage block_stage(prof, "block_encode");
     for (std::size_t t = 0; t < num_tensors; ++t) {
       util::ByteBuffer wrapped;
       blockcodec::EncodeBlock(*block_codec_, pending_push_[t].span(),
@@ -1980,8 +1957,6 @@ void RpcWorker::ComputeStep(std::int64_t step) {
   for (std::size_t t = 0; t < num_tensors; ++t) {
     pending_telemetry_.bytes_out += pending_push_[t].size();
   }
-  pending_telemetry_.encode_ns =
-      static_cast<std::uint64_t>(encode_timer.ElapsedSeconds() * 1e9);
   pending_telemetry_.ea_l2 = std::sqrt(ea_sq);
   computed_through_ = step;
 }
@@ -2085,11 +2060,9 @@ bool RpcWorker::Connect(bool rejoin_mode) {
   conn_ = std::make_unique<Connection>(fd, &metrics_);
   if (config_.fault != nullptr) conn_->set_fault_injector(config_.fault);
 
-  obs::Tracer* tracer =
-      config_.telemetry != nullptr ? &config_.telemetry->tracer() : nullptr;
-  const int track = 1 + config_.worker_id;
-  obs::ScopedSpan span(tracer, rejoin_mode ? "rpc/rejoin" : "rpc/handshake",
-                       track);
+  obs::ScopedStage stage(&obs::StageProfiler::Global(),
+                         rejoin_mode ? "rejoin" : "handshake", nullptr,
+                         StepSpan(-1));
   if (!rejoin_mode) return Handshake(*conn_);
   std::int64_t collect_step = 0;
   if (!RejoinHandshake(*conn_, &collect_step)) return false;
@@ -2119,9 +2092,8 @@ bool RpcWorker::Reconnect() {
 }
 
 RpcWorker::StepStatus RpcWorker::RunStep(std::int64_t step) {
-  obs::Tracer* tracer =
-      config_.telemetry != nullptr ? &config_.telemetry->tracer() : nullptr;
-  const int track = 1 + config_.worker_id;
+  obs::StageProfiler* prof = &obs::StageProfiler::Global();
+  const obs::SpanTarget span = StepSpan(step);
   const std::size_t num_tensors = plan_->size();
 
   // Forward/backward + encode runs at most once per step, no matter how
@@ -2130,9 +2102,10 @@ RpcWorker::StepStatus RpcWorker::RunStep(std::int64_t step) {
   // trajectory. Retries resend the identical stored bytes.
   if (computed_through_ < step) ComputeStep(step);
 
-  util::WallTimer push_timer;
+  // The transport half of the TELEMETRY record. A step retried after a
+  // reconnect adds every attempt's push (and wait) time to the same record.
   {
-    obs::ScopedSpan span(tracer, "rpc/push", track, step);
+    obs::ScopedStage stage(prof, "push", &pending_telemetry_.push_ns, span);
     for (std::size_t t = 0; t < num_tensors; ++t) {
       if (!conn_->SendFrame(MsgType::kPush, static_cast<std::uint64_t>(step),
                             static_cast<std::uint32_t>(t),
@@ -2160,15 +2133,13 @@ RpcWorker::StepStatus RpcWorker::RunStep(std::int64_t step) {
       return StepStatus::kRetry;
     }
   }
-  pending_telemetry_.push_ns =
-      static_cast<std::uint64_t>(push_timer.ElapsedSeconds() * 1e9);
+  // Collect all of the step's pulls before applying any (deferred
+  // apply): a connection lost mid-collect leaves the model untouched and
+  // the step cleanly resumable after a rejoin.
+  std::vector<util::ByteBuffer> pulls(num_tensors);
   {
-    obs::ScopedSpan span(tracer, "rpc/pull_wait", track, step);
-    util::WallTimer pull_wait_timer;
-    // Collect all of the step's pulls before applying any (deferred
-    // apply): a connection lost mid-collect leaves the model untouched and
-    // the step cleanly resumable after a rejoin.
-    std::vector<util::ByteBuffer> pulls(num_tensors);
+    obs::ScopedStage stage(prof, "pull_wait", &pending_telemetry_.pull_wait_ns,
+                           span);
     for (std::size_t t = 0; t < num_tensors; ++t) {
       Frame frame;
       const Connection::IoResult r =
@@ -2196,9 +2167,9 @@ RpcWorker::StepStatus RpcWorker::RunStep(std::int64_t step) {
       }
       pulls[t] = std::move(frame.payload);
     }
-    pending_telemetry_.pull_wait_ns =
-        static_cast<std::uint64_t>(pull_wait_timer.ElapsedSeconds() * 1e9);
-    util::WallTimer decode_timer;
+  }
+  {
+    obs::ScopedStage stage(prof, "decode", &pending_telemetry_.decode_ns, span);
     for (std::size_t t = 0; t < num_tensors; ++t) {
       pending_telemetry_.bytes_in += pulls[t].size();
       if (!UnwrapPull(t, pulls[t])) return StepStatus::kFailed;
@@ -2217,8 +2188,6 @@ RpcWorker::StepStatus RpcWorker::RunStep(std::int64_t step) {
         return StepStatus::kFailed;
       }
     }
-    pending_telemetry_.decode_ns =
-        static_cast<std::uint64_t>(decode_timer.ElapsedSeconds() * 1e9);
   }
   ++next_apply_;
   // Ship the completed step's telemetry record. Best-effort by design:

@@ -173,8 +173,8 @@ struct RpcServerConfig {
   const std::atomic<bool>* stop_flag = nullptr;
   // Injected into every accepted connection (chaos testing); not owned.
   FaultInjector* fault = nullptr;
-  // Optional; adds rpc metrics, per-step JSONL records, handshake /
-  // step-barrier spans (track 0), and flight-recorder error events.
+  // Optional; adds rpc metrics, per-step JSONL records, handshake and
+  // step-phase spans (track 0), and flight-recorder error events.
   obs::Telemetry* telemetry = nullptr;
   // Second-stage lossless block codec (blockcodec::KnownNames()) applied
   // to every PUSH/PULL payload after the tensor codec. Both sides must
@@ -439,7 +439,8 @@ struct RpcWorkerConfig {
   std::string stop_checkpoint_path;
   // Injected into every connection this worker makes; not owned.
   FaultInjector* fault = nullptr;
-  obs::Telemetry* telemetry = nullptr;  // optional rpc metrics + spans
+  // Optional rpc metrics + handshake and step-phase spans (track 1 + id).
+  obs::Telemetry* telemetry = nullptr;
   // Second-stage block codec; must match the server's (see
   // RpcServerConfig::block_codec).
   std::string block_codec = "store";
@@ -494,6 +495,9 @@ class RpcWorker {
   // Forward/backward + encode every push into pending_push_, advancing the
   // codec's EA buffers and the sampler exactly once per step.
   void ComputeStep(std::int64_t step);
+  // This worker's trace track, stamped with `step` (no tracer without
+  // Telemetry).
+  obs::SpanTarget StepSpan(std::int64_t step) const;
   // WaitFrame that skips EVICT broadcasts (membership news about other
   // workers) and HEARTBEAT beacons (they refresh the lease and are
   // dropped). With config_.lease_ms > 0 the wait is sliced: beacons go

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/stage_profiler.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -121,10 +122,7 @@ double DistributedTrainer::EvaluateGlobalModel() {
 }
 
 void DistributedTrainer::EmitStepTelemetry(
-    const StepRecord& rec, const std::vector<double>& worker_fb_ms,
-    const std::vector<double>& worker_encode_ms,
-    const std::vector<double>& worker_decode_ms, double decode_aggregate_ms,
-    double optimize_ms, double encode_pull_ms,
+    const StepRecord& rec, std::vector<obs::StepTelemetry::Phase> phases_ms,
     const std::vector<std::vector<compress::EncodeStats>>& push_stats,
     const std::vector<compress::EncodeStats>& pull_stats) {
   obs::Telemetry* tel = config_.telemetry;
@@ -143,19 +141,7 @@ void DistributedTrainer::EmitStepTelemetry(
   st.pull_bits_per_value = rates.pull;
   st.codec_seconds = rec.codec_seconds;
   st.contributors = rec.contributors;
-
-  // Critical-path phase times: parallel worker phases reduce by max (the
-  // barrier waits for the slowest), server phases are serial.
-  auto max_of = [](const std::vector<double>& v) {
-    return v.empty() ? 0.0 : *std::max_element(v.begin(), v.end());
-  };
-  st.phases_ms = {{"forward_backward", max_of(worker_fb_ms)},
-                  {"encode_push", max_of(worker_encode_ms)},
-                  {"decode_aggregate", decode_aggregate_ms},
-                  {"optimize", optimize_ms},
-                  {"encode_pull", encode_pull_ms},
-                  {"decode_pull", max_of(worker_decode_ms)}};
-  for (const auto& phase : st.phases_ms) st.step_wall_ms += phase.ms;
+  st.phases_ms = std::move(phases_ms);
 
   if (!push_stats.empty()) {
     st.tensors.reserve(plan_.size());
@@ -236,6 +222,7 @@ TrainResult DistributedTrainer::Run() {
   obs::Telemetry* tel = config_.telemetry;
   obs::Tracer* tracer =
       tel != nullptr && tel->trace_enabled() ? &tel->tracer() : nullptr;
+  obs::StageProfiler* prof = &obs::StageProfiler::Global();
   const bool metrics_on = tel != nullptr && tel->metrics_enabled();
   const bool per_tensor = tel != nullptr && tel->per_tensor_enabled();
   if (tracer != nullptr) {
@@ -252,7 +239,6 @@ TrainResult DistributedTrainer::Run() {
   obs::Gauge* m_lr = nullptr;
   obs::HistogramStat* m_push_bpv = nullptr;
   obs::HistogramStat* m_pull_bpv = nullptr;
-  obs::HistogramStat* m_step_ms = nullptr;
   if (tel != nullptr) {
     auto& reg = tel->metrics();
     m_push_bytes = reg.counter("traffic/push_bytes");
@@ -262,7 +248,6 @@ TrainResult DistributedTrainer::Run() {
     m_lr = reg.gauge("train/lr");
     m_push_bpv = reg.histogram("traffic/push_bits_per_value", 0.0, 34.0, 68);
     m_pull_bpv = reg.histogram("traffic/pull_bits_per_value", 0.0, 34.0, 68);
-    m_step_ms = reg.histogram("train/step_ms", 0.0, 1000.0, 200);
   }
 
   std::unique_ptr<util::ThreadPool> pool;
@@ -298,12 +283,15 @@ TrainResult DistributedTrainer::Run() {
   std::vector<double> worker_decode_s(num_workers, 0.0);
   std::vector<double> worker_loss(num_workers, 0.0);
 
-  // Telemetry scratch: per-worker wall-clock phase times and per-worker,
-  // per-tensor encode stats (each worker writes only its own row, so the
-  // parallel stages stay race-free).
-  std::vector<double> worker_fb_ms(num_workers, 0.0);
-  std::vector<double> worker_encode_ms(num_workers, 0.0);
-  std::vector<double> worker_decode_ms(num_workers, 0.0);
+  // Telemetry scratch: per-worker phase slots the worker ScopedStages add
+  // into, and per-worker, per-tensor encode stats (each worker writes only
+  // its own row, so the parallel stages stay race-free).
+  struct WorkerPhaseNs {
+    std::uint64_t forward_backward = 0;
+    std::uint64_t encode_push = 0;
+    std::uint64_t decode_pull = 0;
+  };
+  std::vector<WorkerPhaseNs> worker_ns(num_workers);
   std::vector<std::vector<compress::EncodeStats>> push_stats;
   std::vector<compress::EncodeStats> pull_stats;
   if (per_tensor) {
@@ -316,6 +304,8 @@ TrainResult DistributedTrainer::Run() {
     rec.step = step;
     rec.lr = schedule.At(step);
     server_->BeginStep();
+    std::fill(worker_ns.begin(), worker_ns.end(), WorkerPhaseNs{});
+    const obs::SpanTarget server_span{tracer, 0, step};
 
     // Draw this step's simulated compute times and pick the quorum: the
     // (num_workers - backup_workers) fastest workers contribute gradients.
@@ -347,22 +337,21 @@ TrainResult DistributedTrainer::Run() {
 
     // --- Forward/backward + gradient push encode, per worker (parallel).
     auto compute_and_encode = [&](std::size_t w) {
-      const int track = 1 + static_cast<int>(w);
+      const obs::SpanTarget span{tracer, 1 + static_cast<int>(w), step};
       data::Batch batch = [&] {
-        obs::ScopedSpan span(tracer, "sample_batch", track);
+        obs::ScopedStage stage(prof, "sample_batch", nullptr, span);
         return samplers_[w].Next(config_.batch_size);
       }();
       {
-        obs::ScopedSpan span(tracer, "forward_backward", track);
-        util::WallTimer wall;
+        obs::ScopedStage stage(prof, "forward_backward",
+                               &worker_ns[w].forward_backward, span);
         nn::LossResult loss =
             worker_models_[w].TrainStep(batch.inputs, batch.labels);
         worker_loss[w] = loss.loss;
-        worker_fb_ms[w] = wall.ElapsedMillis();
       }
       push_payloads[w].Clear();
-      obs::ScopedSpan span(tracer, "encode_push", track);
-      util::WallTimer wall;
+      obs::ScopedStage stage(prof, "encode_push", &worker_ns[w].encode_push,
+                             span);
       util::CpuTimer timer;
       for (std::size_t t = 0; t < num_tensors; ++t) {
         compress::EncodeStats* stats =
@@ -371,7 +360,6 @@ TrainResult DistributedTrainer::Run() {
         push_sizes[w][t] = workers_[w]->EncodePush(t, push_payloads[w], stats);
       }
       worker_encode_s[w] = timer.ElapsedSeconds();
-      worker_encode_ms[w] = wall.ElapsedMillis();
     };
     if (pool) {
       pool->ParallelFor(num_workers, compute_and_encode);
@@ -381,10 +369,10 @@ TrainResult DistributedTrainer::Run() {
 
     // --- Server: decode + aggregate pushes in fixed worker order.
     double server_decode_s = 0.0;
-    double decode_aggregate_ms = 0.0;
+    std::uint64_t decode_aggregate_ns = 0;
     {
-      obs::ScopedSpan span(tracer, "decode_aggregate", 0);
-      util::WallTimer wall;
+      obs::ScopedStage stage(prof, "decode_aggregate", &decode_aggregate_ns,
+                             server_span);
       for (std::size_t w = 0; w < num_workers; ++w) {
         util::ByteReader reader(push_payloads[w]);
         util::CpuTimer timer;
@@ -402,31 +390,27 @@ TrainResult DistributedTrainer::Run() {
         server_decode_s += timer.ElapsedSeconds();
         THREELC_CHECK_MSG(reader.AtEnd(), "push payload not fully consumed");
       }
-      decode_aggregate_ms = wall.ElapsedMillis();
     }
 
     // --- Model update + shared pull compression (encoded once).
-    double optimize_ms = 0.0;
+    std::uint64_t optimize_ns = 0;
     {
-      obs::ScopedSpan span(tracer, "optimize", 0);
-      util::WallTimer wall;
+      obs::ScopedStage stage(prof, "optimize", &optimize_ns, server_span);
       server_->Update(rec.lr, static_cast<int>(quorum));
-      optimize_ms = wall.ElapsedMillis();
     }
     util::CpuTimer pull_encode_timer;
-    double encode_pull_ms = 0.0;
+    std::uint64_t encode_pull_ns = 0;
     {
-      obs::ScopedSpan span(tracer, "encode_pull", 0);
-      util::WallTimer wall;
+      obs::ScopedStage stage(prof, "encode_pull", &encode_pull_ns,
+                             server_span);
       server_->PreparePulls(per_tensor ? &pull_stats : nullptr);
-      encode_pull_ms = wall.ElapsedMillis();
     }
     const double pull_encode_s = pull_encode_timer.ElapsedSeconds();
 
     // --- Workers decode and apply the shared pull payloads (parallel).
     auto apply_pulls = [&](std::size_t w) {
-      obs::ScopedSpan span(tracer, "decode_pull", 1 + static_cast<int>(w));
-      util::WallTimer wall;
+      obs::ScopedStage stage(prof, "decode_pull", &worker_ns[w].decode_pull,
+                             {tracer, 1 + static_cast<int>(w), step});
       util::CpuTimer timer;
       for (std::size_t t = 0; t < num_tensors; ++t) {
         util::ByteReader reader(server_->PullPayload(t));
@@ -434,7 +418,6 @@ TrainResult DistributedTrainer::Run() {
         THREELC_CHECK_MSG(reader.AtEnd(), "pull payload not fully consumed");
       }
       worker_decode_s[w] = timer.ElapsedSeconds();
-      worker_decode_ms[w] = wall.ElapsedMillis();
     };
     if (pool) {
       pool->ParallelFor(num_workers, apply_pulls);
@@ -468,9 +451,24 @@ TrainResult DistributedTrainer::Run() {
     result.steps.push_back(rec);
 
     if (tel != nullptr) {
-      EmitStepTelemetry(rec, worker_fb_ms, worker_encode_ms, worker_decode_ms,
-                        decode_aggregate_ms, optimize_ms, encode_pull_ms,
-                        push_stats, pull_stats);
+      // Critical-path phase times: parallel worker phases reduce by max
+      // (the barrier waits for the slowest), server phases are serial.
+      const auto max_ms = [&](std::uint64_t WorkerPhaseNs::*phase) {
+        std::uint64_t ns = 0;
+        for (const WorkerPhaseNs& row : worker_ns) {
+          ns = std::max(ns, row.*phase);
+        }
+        return obs::NsToMs(ns);
+      };
+      EmitStepTelemetry(
+          rec,
+          {{"forward_backward", max_ms(&WorkerPhaseNs::forward_backward)},
+           {"encode_push", max_ms(&WorkerPhaseNs::encode_push)},
+           {"decode_aggregate", obs::NsToMs(decode_aggregate_ns)},
+           {"optimize", obs::NsToMs(optimize_ns)},
+           {"encode_pull", obs::NsToMs(encode_pull_ns)},
+           {"decode_pull", max_ms(&WorkerPhaseNs::decode_pull)}},
+          push_stats, pull_stats);
       if (metrics_on) {
         m_push_bytes->Add(static_cast<double>(rec.push_bytes));
         m_pull_bytes->Add(static_cast<double>(rec.pull_bytes));
@@ -482,25 +480,17 @@ TrainResult DistributedTrainer::Run() {
              rec.pull_values});
         m_push_bpv->Add(rates.push);
         m_pull_bpv->Add(rates.pull);
-        const double step_ms =
-            *std::max_element(worker_fb_ms.begin(), worker_fb_ms.end()) +
-            *std::max_element(worker_encode_ms.begin(),
-                              worker_encode_ms.end()) +
-            decode_aggregate_ms + optimize_ms + encode_pull_ms +
-            *std::max_element(worker_decode_ms.begin(),
-                              worker_decode_ms.end());
-        m_step_ms->Add(step_ms);
       }
     }
 
     if (config_.eval_every > 0 && (step + 1) % config_.eval_every == 0) {
-      obs::ScopedSpan span(tracer, "evaluate", 0);
+      obs::ScopedStage stage(prof, "evaluate", nullptr, server_span);
       result.evals.push_back({step + 1, EvaluateGlobalModel()});
     }
   }
 
   {
-    obs::ScopedSpan span(tracer, "evaluate", 0);
+    obs::ScopedStage stage(prof, "evaluate", nullptr, {tracer, 0});
     result.final_test_accuracy = EvaluateGlobalModel();
   }
   if (result.evals.empty() ||

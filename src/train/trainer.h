@@ -157,10 +157,7 @@ class DistributedTrainer {
   // watchdog and flight recorder. Only called when config_.telemetry is
   // set.
   void EmitStepTelemetry(
-      const StepRecord& rec, const std::vector<double>& worker_fb_ms,
-      const std::vector<double>& worker_encode_ms,
-      const std::vector<double>& worker_decode_ms, double decode_aggregate_ms,
-      double optimize_ms, double encode_pull_ms,
+      const StepRecord& rec, std::vector<obs::StepTelemetry::Phase> phases_ms,
       const std::vector<std::vector<compress::EncodeStats>>& push_stats,
       const std::vector<compress::EncodeStats>& pull_stats);
 

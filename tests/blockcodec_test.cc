@@ -267,6 +267,31 @@ TEST(BlockCodecRans, RejectsBadFrequencyTable) {
       std::runtime_error);
 }
 
+// A dominant symbol drives the encoder state past 2^31, where a 32-bit
+// fixed-point reciprocal stops dividing exactly. 99%-one-symbol streams,
+// and the 3LC s=1.00 payload of a 99%-zero tensor (the slow-link block
+// stage's input), must still round-trip.
+TEST(BlockCodecRans, RoundTripsSkewedStreams) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    std::vector<std::uint8_t> raw(20000, 0);
+    for (auto& b : raw) {
+      if (rng.Uniform() < 0.01) b = static_cast<std::uint8_t>(rng.Below(255));
+    }
+    ExpectRoundTrip(*Find("rans"), raw);
+  }
+  auto codec = compress::MakeCompressor(compress::CodecConfig::ThreeLC(1.0f));
+  util::Rng rng(112);
+  tensor::Tensor t(tensor::Shape{98304});
+  for (std::int64_t i = 0; i < t.num_elements(); ++i) {
+    t.data()[i] = rng.Uniform() < 0.01 ? static_cast<float>(rng.Normal()) : 0;
+  }
+  auto ctx = codec->MakeContext(t.shape());
+  ByteBuffer payload;
+  codec->Encode(t, *ctx, payload);
+  ExpectRoundTrip(*Find("rans"), ToVector(payload));
+}
+
 TEST(BlockEnvelope, RoundTripsAndRecordsCodecId) {
   const auto raw = RepetitiveBytes(10000);
   for (const BlockCodec* codec : All()) {

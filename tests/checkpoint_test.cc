@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "nn/checkpoint.h"
@@ -19,6 +20,17 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 train::MlpSpec Spec() { return {6, {16, 8}, 3, true}; }
@@ -70,10 +82,7 @@ TEST(Checkpoint, MissingFileThrows) {
 
 TEST(Checkpoint, BadMagicThrows) {
   const std::string path = TempPath("ckpt_bad_magic.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "NOPE and some garbage";
-  }
+  WriteFileBytes(path, "NOPE and some garbage");
   auto model = train::BuildMlp(Spec(), 1);
   EXPECT_THROW(nn::LoadCheckpoint(model, path), std::runtime_error);
   std::remove(path.c_str());
@@ -92,87 +101,50 @@ TEST(Checkpoint, TruncatedFileThrows) {
   auto model = train::BuildMlp(Spec(), 1);
   const std::string path = TempPath("ckpt_trunc.bin");
   nn::SaveCheckpoint(model, path);
-  // Truncate to half.
-  std::ifstream in(path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(contents.data(),
-              static_cast<std::streamsize>(contents.size() / 2));
-  }
+  const std::string contents = ReadFileBytes(path);
+  WriteFileBytes(path, contents.substr(0, contents.size() / 2));
   EXPECT_THROW(nn::LoadCheckpoint(model, path), std::runtime_error);
   std::remove(path.c_str());
 }
 
 // ---------- v2 checksum trailer ----------
 
-TEST(Checkpoint, ChecksumRoundTripLoads) {
-  auto model = train::BuildMlp(Spec(), 7);
-  const std::string path = TempPath("ckpt_crc_roundtrip.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true);
-  auto restored = train::BuildMlp(Spec(), 8);
-  nn::LoadCheckpoint(restored, path);
-  util::Rng rng(9);
-  tensor::Tensor in(tensor::Shape{4, 6});
-  tensor::FillNormal(in, rng, 0.0f, 1.0f);
-  EXPECT_EQ(tensor::MaxAbsDiff(model.Forward(in, false),
-                               restored.Forward(in, false)),
-            0.0f);
-  std::remove(path.c_str());
-}
-
 TEST(Checkpoint, ChecksumDetectsFlippedPayloadByte) {
   auto model = train::BuildMlp(Spec(), 7);
   const std::string path = TempPath("ckpt_crc_corrupt.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true);
+  nn::SaveCheckpoint(model, path);
 
   // Flip one byte in the middle of the tensor data region.
-  std::ifstream in(path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
+  std::string contents = ReadFileBytes(path);
   contents[contents.size() / 2] ^= 0x01;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(contents.data(),
-              static_cast<std::streamsize>(contents.size()));
-  }
+  WriteFileBytes(path, contents);
 
   auto restored = train::BuildMlp(Spec(), 8);
   EXPECT_THROW(nn::LoadCheckpoint(restored, path), std::runtime_error);
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, V1FileWithoutChecksumStillLoads) {
+// Version 1 (no CRC trailer) is unsupported: a v1 file is rejected by its
+// version field before any tensor byte is trusted.
+TEST(Checkpoint, V1FileIsRejectedAsUnsupported) {
   auto model = train::BuildMlp(Spec(), 7);
-  const std::string path = TempPath("ckpt_v1_compat.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/false);
+  const std::string path = TempPath("ckpt_v1_rejected.bin");
+  nn::SaveCheckpoint(model, path);
+  std::string contents = ReadFileBytes(path);
+  const std::uint32_t v1 = 1;
+  std::memcpy(&contents[4], &v1, sizeof(v1));  // magic[4] | u32 version
+  contents.resize(contents.size() - 4);        // v1 had no trailer
+  WriteFileBytes(path, contents);
   auto restored = train::BuildMlp(Spec(), 8);
-  EXPECT_NO_THROW(nn::LoadCheckpoint(restored, path));
-  util::Rng rng(9);
-  tensor::Tensor in(tensor::Shape{4, 6});
-  tensor::FillNormal(in, rng, 0.0f, 1.0f);
-  EXPECT_EQ(tensor::MaxAbsDiff(model.Forward(in, false),
-                               restored.Forward(in, false)),
-            0.0f);
+  try {
+    nn::LoadCheckpoint(restored, path);
+    ADD_FAILURE() << "a version-1 checkpoint loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+              std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
-}
-
-TEST(Checkpoint, ChecksumFileIsLargerByTrailer) {
-  auto model = train::BuildMlp(Spec(), 7);
-  const std::string with = TempPath("ckpt_with_crc.bin");
-  const std::string without = TempPath("ckpt_without_crc.bin");
-  nn::SaveCheckpoint(model, with, /*checksum=*/true);
-  nn::SaveCheckpoint(model, without, /*checksum=*/false);
-  auto size_of = [](const std::string& p) {
-    std::ifstream f(p, std::ios::binary | std::ios::ate);
-    return static_cast<std::size_t>(f.tellg());
-  };
-  EXPECT_GT(size_of(with), size_of(without));
-  std::remove(with.c_str());
-  std::remove(without.c_str());
 }
 
 // ---------- v3 training state ----------
@@ -240,16 +212,9 @@ TEST(Checkpoint, V3ChecksumDetectsStateCorruption) {
   nn::SaveCheckpointWithState(model, MakeState(), path);
   // Flip a byte near the end of the body — inside the training-state
   // section, before the CRC trailer.
-  std::ifstream in(path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
+  std::string contents = ReadFileBytes(path);
   contents[contents.size() - 7] ^= 0x01;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(contents.data(),
-              static_cast<std::streamsize>(contents.size()));
-  }
+  WriteFileBytes(path, contents);
   nn::TrainState state;
   EXPECT_THROW(nn::LoadCheckpointState(model, &state, path),
                std::runtime_error);
@@ -310,19 +275,14 @@ TEST(ServerCheckpoint, EveryTruncationIsRejected) {
   const std::string path = TempPath("sckpt_trunc.bin");
   nn::SaveServerCheckpoint(model, MakeServerState(), path);
 
-  std::ifstream in(path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
+  const std::string contents = ReadFileBytes(path);
   ASSERT_GT(contents.size(), 16u);
 
   // Sweep prefix lengths (stride keeps the test fast; the endpoints and
   // everything in between must all fail the CRC or hit a hard underflow).
   for (std::size_t len = 0; len < contents.size();
        len += (contents.size() / 97) + 1) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(contents.data(), static_cast<std::streamsize>(len));
-    out.close();
+    WriteFileBytes(path, contents.substr(0, len));
     auto victim = train::BuildMlp(Spec(), 8);
     nn::ServerState state;
     EXPECT_THROW(nn::LoadServerCheckpoint(victim, &state, path),
@@ -336,17 +296,12 @@ TEST(ServerCheckpoint, FlippedByteIsRejected) {
   auto model = train::BuildMlp(Spec(), 7);
   const std::string path = TempPath("sckpt_flip.bin");
   nn::SaveServerCheckpoint(model, MakeServerState(), path);
-  std::ifstream in(path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
+  const std::string contents = ReadFileBytes(path);
   for (const std::size_t pos :
        {contents.size() / 4, contents.size() / 2, contents.size() - 5}) {
     std::string corrupt = contents;
     corrupt[pos] ^= 0x08;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
-    out.close();
+    WriteFileBytes(path, corrupt);
     auto victim = train::BuildMlp(Spec(), 8);
     nn::ServerState state;
     EXPECT_THROW(nn::LoadServerCheckpoint(victim, &state, path),
@@ -374,17 +329,6 @@ TEST(ServerCheckpoint, MagicSeparatesWorkerAndServerRecords) {
 }
 
 // ---------- 3LCZ compressed container ----------
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
 
 // A model whose tensor bytes are trivially compressible, so every codec
 // shrinks the blob and the save is guaranteed to emit the container (the
@@ -418,7 +362,7 @@ TEST(CompressedCheckpoint, RoundTripEveryCodecBitwiseExact) {
 
   for (const char* codec : {"lz", "rans", "lz+rans"}) {
     const std::string path = TempPath("zckpt_roundtrip.bin");
-    nn::SaveCheckpoint(model, path, /*checksum=*/true, codec);
+    nn::SaveCheckpoint(model, path, codec);
     const std::string bytes = ReadFileBytes(path);
     EXPECT_TRUE(HasContainerMagic(bytes)) << codec;
     EXPECT_LT(bytes.size(), bare_size) << codec;
@@ -440,7 +384,7 @@ TEST(CompressedCheckpoint, RoundTripEveryCodecBitwiseExact) {
 TEST(CompressedCheckpoint, StoreCodecWritesBareFile) {
   auto model = CompressibleModel(7);
   const std::string path = TempPath("zckpt_store.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true, "store");
+  nn::SaveCheckpoint(model, path, "store");
   EXPECT_FALSE(HasContainerMagic(ReadFileBytes(path)));
   auto restored = train::BuildMlp(Spec(), 8);
   EXPECT_NO_THROW(nn::LoadCheckpoint(restored, path));
@@ -450,7 +394,7 @@ TEST(CompressedCheckpoint, StoreCodecWritesBareFile) {
 TEST(CompressedCheckpoint, UnknownCodecNameThrowsOnSave) {
   auto model = CompressibleModel(7);
   EXPECT_THROW(nn::SaveCheckpoint(model, TempPath("zckpt_unknown.bin"),
-                                  /*checksum=*/true, "zstd"),
+                                  "zstd"),
                std::runtime_error);
 }
 
@@ -490,7 +434,7 @@ TEST(CompressedCheckpoint, V3StateAndServerRecordsRoundTrip) {
 TEST(CompressedCheckpoint, DeclaredSizeMismatchIsRejected) {
   auto model = CompressibleModel(7);
   const std::string path = TempPath("zckpt_size.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true, "lz+rans");
+  nn::SaveCheckpoint(model, path, "lz+rans");
   std::string bytes = ReadFileBytes(path);
   ASSERT_TRUE(HasContainerMagic(bytes));
   bytes[kRawSizeOffset] ^= 0x01;  // raw_size off by one
@@ -503,7 +447,7 @@ TEST(CompressedCheckpoint, DeclaredSizeMismatchIsRejected) {
 TEST(CompressedCheckpoint, DeclaredCrcMismatchIsRejected) {
   auto model = CompressibleModel(7);
   const std::string path = TempPath("zckpt_crc.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true, "lz+rans");
+  nn::SaveCheckpoint(model, path, "lz+rans");
   std::string bytes = ReadFileBytes(path);
   ASSERT_TRUE(HasContainerMagic(bytes));
   bytes[kRawCrcOffset] ^= 0x01;  // container CRC no longer matches
@@ -516,7 +460,7 @@ TEST(CompressedCheckpoint, DeclaredCrcMismatchIsRejected) {
 TEST(CompressedCheckpoint, UnknownCodecIdIsRejected) {
   auto model = CompressibleModel(7);
   const std::string path = TempPath("zckpt_badid.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true, "lz+rans");
+  nn::SaveCheckpoint(model, path, "lz+rans");
   std::string bytes = ReadFileBytes(path);
   ASSERT_TRUE(HasContainerMagic(bytes));
   bytes[kCodecIdOffset] = static_cast<char>(0xEE);
@@ -529,7 +473,7 @@ TEST(CompressedCheckpoint, UnknownCodecIdIsRejected) {
 TEST(CompressedCheckpoint, ImplausibleRawSizeIsRejected) {
   auto model = CompressibleModel(7);
   const std::string path = TempPath("zckpt_hugesize.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true, "lz+rans");
+  nn::SaveCheckpoint(model, path, "lz+rans");
   std::string bytes = ReadFileBytes(path);
   ASSERT_TRUE(HasContainerMagic(bytes));
   for (int i = 0; i < 8; ++i) {
@@ -562,7 +506,7 @@ TEST(CompressedCheckpoint, TruncationSweepIsRejected) {
 TEST(CompressedCheckpoint, TrailingGarbageIsRejected) {
   auto model = CompressibleModel(7);
   const std::string path = TempPath("zckpt_trailing.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true, "lz+rans");
+  nn::SaveCheckpoint(model, path, "lz+rans");
   std::string bytes = ReadFileBytes(path);
   ASSERT_TRUE(HasContainerMagic(bytes));
   bytes += "extra";
@@ -575,7 +519,7 @@ TEST(CompressedCheckpoint, TrailingGarbageIsRejected) {
 TEST(CompressedCheckpoint, CompressedPayloadFlipIsRejected) {
   auto model = CompressibleModel(7);
   const std::string path = TempPath("zckpt_payload_flip.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true, "lz+rans");
+  nn::SaveCheckpoint(model, path, "lz+rans");
   std::string bytes = ReadFileBytes(path);
   ASSERT_TRUE(HasContainerMagic(bytes));
   bytes[bytes.size() / 2] ^= 0x04;
@@ -599,20 +543,14 @@ TEST(AtomicFile, CommitLeavesContentsAndNoTempBehind) {
     w.Write("hello", 5);
     w.Commit();
   }
-  std::ifstream in(path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  EXPECT_EQ(contents, "hello");
+  EXPECT_EQ(ReadFileBytes(path), "hello");
   EXPECT_FALSE(std::ifstream(temp_path).good()) << "temp file leaked";
   std::remove(path.c_str());
 }
 
 TEST(AtomicFile, AbortRemovesTempAndPreservesPrevious) {
   const std::string path = TempPath("atomic_abort.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "previous";
-  }
+  WriteFileBytes(path, "previous");
   std::string temp_path;
   {
     util::AtomicFileWriter w(path);
@@ -620,10 +558,7 @@ TEST(AtomicFile, AbortRemovesTempAndPreservesPrevious) {
     w.Write("partial", 7);
     // Destroyed without Commit: exception-unwind path.
   }
-  std::ifstream in(path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  EXPECT_EQ(contents, "previous");
+  EXPECT_EQ(ReadFileBytes(path), "previous");
   EXPECT_FALSE(std::ifstream(temp_path).good()) << "temp file leaked";
   std::remove(path.c_str());
 }
@@ -637,10 +572,7 @@ TEST(AtomicFile, StaleTempFromEarlierCrashIsOverwritten) {
     util::AtomicFileWriter probe(path);
     temp_path = probe.temp_path();
   }
-  {
-    std::ofstream out(temp_path, std::ios::binary);
-    out << "stale garbage from a crashed writer";
-  }
+  WriteFileBytes(temp_path, "stale garbage from a crashed writer");
   auto model = train::BuildMlp(Spec(), 7);
   nn::SaveServerCheckpoint(model, MakeServerState(), path);
   auto restored = train::BuildMlp(Spec(), 8);
@@ -719,17 +651,6 @@ nn::ServerState NumberedState(std::uint64_t n) {
   return state;
 }
 
-std::string SlurpFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-void SpitFile(const std::string& path, const std::string& contents) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-}
-
 void RemoveGenerations(const std::string& path) {
   std::remove(path.c_str());
   for (int g = 0; g < 32; ++g) {
@@ -747,10 +668,10 @@ TEST(CheckpointManager, SaveNumbersGenerationsAndPrunesToRetention) {
   EXPECT_EQ(mgr.next_generation(), 5u);
   // g3 and g4 survive; g0..g2 were pruned.
   for (int g = 0; g < 3; ++g) {
-    EXPECT_TRUE(SlurpFile(mgr.GenerationPath(g)).empty()) << g;
+    EXPECT_TRUE(ReadFileBytes(mgr.GenerationPath(g)).empty()) << g;
   }
   for (int g = 3; g < 5; ++g) {
-    EXPECT_FALSE(SlurpFile(mgr.GenerationPath(g)).empty()) << g;
+    EXPECT_FALSE(ReadFileBytes(mgr.GenerationPath(g)).empty()) << g;
   }
   // The newest generation is what Load returns.
   auto restored = train::BuildMlp(Spec(), 8);
@@ -776,7 +697,7 @@ TEST(CheckpointManager, NumberingResumesAfterRescanNeverReuses) {
   mgr.ScanAndSweep();
   EXPECT_EQ(mgr.next_generation(), 3u);
   mgr.Save(model, NumberedState(3));
-  EXPECT_FALSE(SlurpFile(mgr.GenerationPath(3)).empty());
+  EXPECT_FALSE(ReadFileBytes(mgr.GenerationPath(3)).empty());
   RemoveGenerations(path);
 }
 
@@ -791,7 +712,7 @@ TEST(CheckpointManager, FallbackMatrixCorruptNewestEveryRegion) {
   mgr.Save(model, NumberedState(0));
   mgr.Save(model, NumberedState(1));
   const std::string newest = mgr.GenerationPath(1);
-  const std::string pristine = SlurpFile(newest);
+  const std::string pristine = ReadFileBytes(newest);
   ASSERT_GT(pristine.size(), 32u);
 
   struct Corruption {
@@ -813,9 +734,9 @@ TEST(CheckpointManager, FallbackMatrixCorruptNewestEveryRegion) {
     if (c.flip_at != kFlip) {
       std::string corrupt = pristine;
       corrupt[c.flip_at] ^= 0x04;
-      SpitFile(newest, corrupt);
+      WriteFileBytes(newest, corrupt);
     } else {
-      SpitFile(newest, pristine.substr(0, c.truncate_to));
+      WriteFileBytes(newest, pristine.substr(0, c.truncate_to));
     }
     nn::CheckpointManager victim({path, /*retain=*/2});
     auto restored = train::BuildMlp(Spec(), 8);
@@ -841,9 +762,9 @@ TEST(CheckpointManager, AllGenerationsBadIsACleanError) {
   mgr.Save(model, NumberedState(0));
   mgr.Save(model, NumberedState(1));
   for (int g = 0; g < 2; ++g) {
-    std::string bytes = SlurpFile(mgr.GenerationPath(g));
+    std::string bytes = ReadFileBytes(mgr.GenerationPath(g));
     bytes[bytes.size() / 2] ^= 0x10;
-    SpitFile(mgr.GenerationPath(g), bytes);
+    WriteFileBytes(mgr.GenerationPath(g), bytes);
   }
   nn::CheckpointManager victim({path, /*retain=*/2});
   auto restored = train::BuildMlp(Spec(), 8);
@@ -864,23 +785,6 @@ TEST(CheckpointManager, NoFilesAtAllIsACleanError) {
   std::string error;
   EXPECT_FALSE(mgr.Load(model, &state, &error));
   EXPECT_NE(error.find("no usable checkpoint"), std::string::npos) << error;
-}
-
-// Checkpoints written before generations existed live at the bare path;
-// Load must still find them after every generation file is exhausted.
-TEST(CheckpointManager, LegacyBarePathIsTheFinalFallback) {
-  const std::string path = TempPath("mgr_legacy.sckpt");
-  RemoveGenerations(path);
-  auto model = train::BuildMlp(Spec(), 7);
-  nn::SaveServerCheckpoint(model, NumberedState(41), path);
-  nn::CheckpointManager mgr({path, /*retain=*/2});
-  auto restored = train::BuildMlp(Spec(), 8);
-  nn::ServerState state;
-  std::string error;
-  ASSERT_TRUE(mgr.Load(restored, &state, &error)) << error;
-  EXPECT_EQ(state.epoch, 41u);
-  EXPECT_EQ(mgr.loaded_path(), path);
-  RemoveGenerations(path);
 }
 
 TEST(CheckpointManager, SaveThrowsOnInjectedDiskFull) {
@@ -906,7 +810,7 @@ TEST(CheckpointManager, SaveThrowsOnInjectedDiskFull) {
   retry_options.fs = &clean;
   nn::CheckpointManager retry(retry_options);
   retry.Save(model, NumberedState(0));
-  EXPECT_FALSE(SlurpFile(retry.GenerationPath(0)).empty());
+  EXPECT_FALSE(ReadFileBytes(retry.GenerationPath(0)).empty());
   RemoveGenerations(path);
 }
 

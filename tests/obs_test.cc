@@ -20,6 +20,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
+#include "obs/stage_profiler.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 
@@ -278,8 +279,8 @@ TEST(PrometheusTest, NonFiniteValuesUseExpositionLiterals) {
 
 TEST(TracerTest, DisabledTracerRecordsNothing) {
   Tracer tracer;
-  { ScopedSpan span(&tracer, "ignored", 0); }
-  { ScopedSpan span(nullptr, "null tracer is fine too", 1); }
+  { ScopedStage stage(nullptr, "ignored", nullptr, {&tracer, 0}); }
+  { ScopedStage stage(nullptr, "null tracer is fine too", nullptr, {}); }
   tracer.RecordSpan("direct", 0, 0.0, 1.0);
   EXPECT_EQ(tracer.event_count(), 0u);
 }
@@ -293,7 +294,7 @@ TEST(TracerTest, ConcurrentSpansAllRecorded) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&tracer, t] {
       for (int i = 0; i < kSpans; ++i) {
-        ScopedSpan span(&tracer, "work", 1 + t);
+        ScopedStage stage(nullptr, "work", nullptr, {&tracer, 1 + t});
       }
     });
   }

@@ -3,162 +3,70 @@
 // model parameters to the in-process DistributedTrainer for the same
 // seed/codec/steps, and every injected fault (rogue disconnect, garbage
 // bytes, plan-hash mismatch, absent peers, dead port) must fail cleanly
-// with a descriptive error instead of hanging or crashing.
+// with a descriptive error instead of hanging or crashing. One run also
+// checks that every phase timing the runtime reports — step JSONL, trace
+// spans, /clusterz, stage profiler — is the same measurement.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "compress/factory.h"
 #include "data/synthetic.h"
+#include "obs/cluster_view.h"
+#include "obs/stage_profiler.h"
+#include "obs/telemetry.h"
 #include "ps/plan.h"
-#include "ps/server.h"
 #include "ps/worker.h"
 #include "rpc/runtime.h"
 #include "rpc/transport.h"
-#include "train/experiment.h"
+#include "rpc_test_setup.h"
 #include "train/model_zoo.h"
-#include "train/trainer.h"
 #include "util/rng.h"
 
 namespace threelc::rpc {
 namespace {
 
-struct TestSetup {
-  train::ExperimentConfig config;
-  data::SyntheticData data;
-  // Second-stage lossless block codec both sides negotiate at handshake.
-  std::string block_codec = "store";
-};
-
-TestSetup MakeTestSetup(int num_workers, std::int64_t steps,
-                        const compress::CodecConfig& codec) {
-  TestSetup setup;
-  setup.config = train::SmallExperiment();
-  train::TrainerConfig& tc = setup.config.trainer;
-  tc.num_workers = num_workers;
-  tc.total_steps = steps;
-  tc.batch_size = 16;
-  tc.eval_every = 0;
-  tc.codec = codec;
-  setup.data = data::MakeTeacherDataset(setup.config.data);
-  return setup;
-}
-
-bool ModelsBitwiseEqual(nn::Model& a, nn::Model& b) {
-  auto pa = a.Params(), pb = b.Params();
-  if (pa.size() != pb.size()) return false;
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    if (pa[i].value->byte_size() != pb[i].value->byte_size() ||
-        std::memcmp(pa[i].value->data(), pb[i].value->data(),
-                    pa[i].value->byte_size()) != 0) {
-      return false;
-    }
-  }
-  auto ba = a.Buffers(), bb = b.Buffers();
-  if (ba.size() != bb.size()) return false;
-  for (std::size_t i = 0; i < ba.size(); ++i) {
-    if (ba[i]->byte_size() != bb[i]->byte_size() ||
-        std::memcmp(ba[i]->data(), bb[i]->data(), ba[i]->byte_size()) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// One worker's full lifecycle on the calling thread, mirroring
-// examples/distributed_training.cpp (including the exact sampler seeding
-// that makes the run bitwise-reproducible).
-bool RunOneWorker(const TestSetup& setup, int worker_id, int port,
-                  std::string* error) {
-  const train::TrainerConfig& tc = setup.config.trainer;
-  nn::Model model =
-      train::BuildMlp(setup.config.model, setup.config.model_seed);
-  const ps::TensorPlan plan =
-      ps::TensorPlan::FromParams(model.Params(), tc.min_compress_elems);
-  auto codec = std::shared_ptr<const compress::Compressor>(
-      compress::MakeCompressor(tc.codec));
-  ps::Worker ps_worker(worker_id, model, plan, codec);
-
-  util::Rng seeder(tc.seed);
-  util::Rng rng = seeder.Fork();
-  for (int i = 0; i < worker_id; ++i) rng = seeder.Fork();
-  data::Sampler sampler(setup.data.train, rng, tc.augment_noise);
-
-  RpcWorkerConfig wc;
-  wc.port = port;
-  wc.worker_id = worker_id;
-  wc.batch_size = tc.batch_size;
-  wc.handshake_timeout_ms = 10000;
-  wc.pull_timeout_ms = 20000;
-  wc.io_timeout_ms = 10000;
-  wc.retry.max_attempts = 5;
-  wc.retry.initial_backoff_ms = 10;
-  wc.block_codec = setup.block_codec;
-  RpcWorker worker(wc, ps_worker, plan, codec->name(), std::move(sampler));
-  const bool ok = worker.Run();
-  if (!ok && error != nullptr) *error = worker.error();
-  return ok;
-}
-
 // Run server + N worker threads over loopback; on success returns the
 // final global model.
 std::unique_ptr<nn::Model> RunTcpTraining(const TestSetup& setup) {
-  const train::TrainerConfig& tc = setup.config.trainer;
-  auto model = std::make_unique<nn::Model>(
-      train::BuildMlp(setup.config.model, setup.config.model_seed));
-  const ps::TensorPlan plan =
-      ps::TensorPlan::FromParams(model->Params(), tc.min_compress_elems);
-  auto codec = std::shared_ptr<const compress::Compressor>(
-      compress::MakeCompressor(tc.codec));
-  ps::ParameterServer ps(*model, plan, codec, tc.optimizer);
-
-  RpcServerConfig sc;
-  sc.num_workers = tc.num_workers;
-  sc.total_steps = tc.total_steps;
-  sc.lr_max = tc.lr_max;
-  sc.lr_min = tc.lr_min;
-  sc.handshake_timeout_ms = 10000;
-  sc.step_timeout_ms = 20000;
-  sc.shutdown_timeout_ms = 10000;
-  sc.block_codec = setup.block_codec;
-  RpcServer server(sc, ps, codec->name());
+  const int num_workers = setup.config.trainer.num_workers;
+  ServerHarness h = MakeServer(setup);
   std::string error;
-  EXPECT_TRUE(server.Listen(&error)) << error;
+  EXPECT_TRUE(h.server->Listen(&error)) << error;
 
   bool server_ok = false;
-  std::thread server_thread([&] { server_ok = server.Run(); });
-
+  std::thread server_thread([&] { server_ok = h.server->Run(); });
+  std::vector<WorkerResult> results(static_cast<std::size_t>(num_workers));
   std::vector<std::thread> workers;
-  std::vector<std::string> worker_errors(
-      static_cast<std::size_t>(tc.num_workers));
-  std::vector<char> worker_ok(static_cast<std::size_t>(tc.num_workers), 0);
-  for (int w = 0; w < tc.num_workers; ++w) {
+  for (int w = 0; w < num_workers; ++w) {
     workers.emplace_back([&, w] {
-      worker_ok[static_cast<std::size_t>(w)] =
-          RunOneWorker(setup, w, server.port(),
-                       &worker_errors[static_cast<std::size_t>(w)])
-              ? 1
-              : 0;
+      results[static_cast<std::size_t>(w)] =
+          RunOneWorker(setup, w, h.server->port());
     });
   }
   for (auto& t : workers) t.join();
   server_thread.join();
 
-  EXPECT_TRUE(server_ok) << server.error();
-  for (int w = 0; w < tc.num_workers; ++w) {
-    EXPECT_TRUE(worker_ok[static_cast<std::size_t>(w)])
-        << "worker " << w << ": "
-        << worker_errors[static_cast<std::size_t>(w)];
+  EXPECT_TRUE(server_ok) << h.server->error();
+  for (int w = 0; w < num_workers; ++w) {
+    EXPECT_TRUE(results[static_cast<std::size_t>(w)].ok)
+        << "worker " << w << ": " << results[static_cast<std::size_t>(w)].error;
   }
-  EXPECT_EQ(server.steps_completed(), tc.total_steps);
+  EXPECT_EQ(h.server->steps_completed(), setup.config.trainer.total_steps);
   if (!server_ok) return nullptr;
-  return model;
+  return std::move(h.model);
 }
 
 void ExpectTcpMatchesInProcess(const compress::CodecConfig& codec,
@@ -167,16 +75,7 @@ void ExpectTcpMatchesInProcess(const compress::CodecConfig& codec,
   setup.block_codec = block_codec;
   std::unique_ptr<nn::Model> tcp_model = RunTcpTraining(setup);
   ASSERT_NE(tcp_model, nullptr);
-
-  const train::MlpSpec spec = setup.config.model;
-  const std::uint64_t model_seed = setup.config.model_seed;
-  train::DistributedTrainer trainer(
-      setup.config.trainer,
-      [spec, model_seed] { return train::BuildMlp(spec, model_seed); },
-      setup.data.train, setup.data.test);
-  trainer.Run();
-
-  EXPECT_TRUE(ModelsBitwiseEqual(*tcp_model, trainer.global_model()));
+  EXPECT_TRUE(ModelsBitwiseEqual(*tcp_model, *RunInProcessReference(setup)));
 }
 
 TEST(RpcRuntime, BitwiseIdenticalToInProcessWithFloat32Codec) {
@@ -212,38 +111,125 @@ TEST(RpcRuntime, BlockCodecLzAndRansAloneWireParity) {
 // configuration error the handshake must reject loudly — silently mixing
 // framed and bare payloads would corrupt training.
 TEST(RpcRuntime, BlockCodecMismatchRejectedAtHandshake) {
-  TestSetup setup =
-      MakeTestSetup(1, 1, compress::CodecConfig::Float32());
-  setup.block_codec = "lz+rans";
-  nn::Model model =
-      train::BuildMlp(setup.config.model, setup.config.model_seed);
-  const ps::TensorPlan plan = ps::TensorPlan::FromParams(
-      model.Params(), setup.config.trainer.min_compress_elems);
-  auto codec = std::shared_ptr<const compress::Compressor>(
-      compress::MakeCompressor(setup.config.trainer.codec));
-  ps::ParameterServer ps(model, plan, codec, setup.config.trainer.optimizer);
-
-  RpcServerConfig sc;
-  sc.num_workers = 1;
-  sc.total_steps = 1;
-  sc.handshake_timeout_ms = 5000;
-  sc.block_codec = "store";  // disagrees with the worker's lz+rans
-  RpcServer server(sc, ps, codec->name());
+  TestSetup setup = MakeTestSetup(1, 1, compress::CodecConfig::Float32());
+  ServerHarness h = MakeServer(setup);  // store
   std::string error;
-  ASSERT_TRUE(server.Listen(&error)) << error;
+  ASSERT_TRUE(h.server->Listen(&error)) << error;
 
   bool server_ok = true;
-  std::thread server_thread([&] { server_ok = server.Run(); });
-  std::string worker_error;
-  TestSetup worker_setup = setup;  // worker keeps lz+rans
-  const bool worker_ok =
-      RunOneWorker(worker_setup, 0, server.port(), &worker_error);
+  std::thread server_thread([&] { server_ok = h.server->Run(); });
+  setup.block_codec = "lz+rans";  // the worker disagrees
+  const WorkerResult worker = RunOneWorker(setup, 0, h.server->port());
   server_thread.join();
 
   EXPECT_FALSE(server_ok);
-  EXPECT_FALSE(worker_ok);
-  EXPECT_NE(server.error().find("block-codec"), std::string::npos)
-      << server.error();
+  EXPECT_FALSE(worker.ok);
+  EXPECT_NE(h.server->error().find("block-codec"), std::string::npos)
+      << h.server->error();
+}
+
+// phases_ms of every step record in a step-log JSONL: step -> name -> ms.
+std::map<std::int64_t, std::map<std::string, double>> ReadStepPhases(
+    const std::string& path) {
+  std::map<std::int64_t, std::map<std::string, double>> steps;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"type\":\"step\"") == std::string::npos) continue;
+    auto& phases = steps[std::atoll(line.c_str() + line.find("\"step\":") + 7)];
+    const char* p = line.c_str() + line.find("\"phases_ms\":{") + 13;
+    while (*p == '"') {
+      const char* name_end = std::strchr(p + 1, '"');
+      char* value_end = nullptr;
+      phases[std::string(p + 1, name_end)] =
+          std::strtod(name_end + 2, &value_end);
+      p = value_end + (*value_end == ',');
+    }
+  }
+  return steps;
+}
+
+// A worker's /clusterz total_ns for one phase.
+double ClusterPhaseTotalNs(const std::string& json, int worker,
+                           const std::string& phase) {
+  std::size_t pos =
+      json.find("\"" + std::to_string(worker) + "\":{\"last_step\"");
+  pos = json.find("\"total_ns\":", json.find("\"" + phase + "\":{", pos));
+  return pos == std::string::npos ? 0.0 : std::atof(json.c_str() + pos + 11);
+}
+
+// One instrument, four views: with the step JSONL, the trace and the stage
+// profiler all on, a threaded loopback run must report every phase
+// interval as the same number everywhere, within 1 us per span (the
+// trace's rounding). (a) Each step's phases_ms entry is the sum of that
+// step's same-name server spans; (b) each worker's /clusterz total_ns per
+// phase is the sum of that worker's same-name spans; (c) each server
+// stage's profiler total is the sum of its JSONL values.
+TEST(RpcRuntime, PhaseTimingsAgreeAcrossJsonlTraceClusterzAndProfiler) {
+  constexpr int kWorkers = 2;
+  TestSetup setup = MakeTestSetup(kWorkers, /*steps=*/6,
+                                  compress::CodecConfig::ThreeLC(1.0f));
+  obs::TelemetryOptions options;
+  options.metrics_path = ::testing::TempDir() + "phase_agreement.jsonl";
+  options.trace_path = ::testing::TempDir() + "phase_agreement_trace.json";
+  options.per_tensor = false;
+  obs::Telemetry telemetry(options);
+  obs::StageProfiler::Global().Reset();  // count only this run's stages
+  setup.telemetry = &telemetry;
+  ASSERT_NE(RunTcpTraining(setup), nullptr);
+  telemetry.Flush();
+
+  struct Sum {
+    double value = 0.0;
+    double tolerance = 0.0;  // in the unit of `value`
+  };
+  std::map<std::tuple<int, std::int64_t, std::string>, Sum> step_spans_us;
+  std::map<std::pair<int, std::string>, Sum> track_spans_ns;
+  for (const obs::TraceEvent& e : telemetry.tracer().snapshot()) {
+    Sum& step_sum = step_spans_us[{e.track, e.step, e.name}];
+    step_sum.value += e.dur_us;
+    step_sum.tolerance += 1.0;
+    Sum& track_sum = track_spans_ns[{e.track, e.name}];
+    track_sum.value += e.dur_us * 1e3;
+    track_sum.tolerance += 1e3;
+  }
+
+  const auto steps = ReadStepPhases(options.metrics_path);
+  ASSERT_EQ(steps.size(), 6u);
+  std::map<std::string, double> jsonl_total_ms;
+  for (const auto& [step, phases] : steps) {
+    ASSERT_EQ(phases.size(), 7u) << "step " << step;
+    for (const auto& [name, ms] : phases) {
+      const Sum& spans = step_spans_us[{0, step, name}];
+      EXPECT_NEAR(ms * 1e3, spans.value, spans.tolerance)
+          << "server span " << name << ", step " << step;
+      jsonl_total_ms[name] += ms;
+    }
+  }
+
+  const std::string clusterz = telemetry.cluster_view()->ToJson();
+  for (int w = 0; w < kWorkers; ++w) {
+    for (const char* phase :
+         {"forward_backward", "encode", "push", "pull_wait", "decode"}) {
+      const Sum& spans = track_spans_ns[{1 + w, phase}];
+      EXPECT_GT(spans.tolerance, 0.0) << "worker " << w << ": no " << phase;
+      EXPECT_NEAR(ClusterPhaseTotalNs(clusterz, w, phase), spans.value,
+                  spans.tolerance)
+          << "worker " << w << " phase " << phase;
+    }
+  }
+
+  std::map<std::string, obs::StageSample> stages;
+  for (obs::StageSample& s : obs::StageProfiler::Global().Snapshot()) {
+    stages[s.path] = s;
+  }
+  for (const auto& [name, ms] : jsonl_total_ms) {
+    const obs::StageSample& stage = stages["server_step/" + name];
+    EXPECT_NEAR(static_cast<double>(stage.total_ns), ms * 1e6,
+                1e3 * static_cast<double>(stage.count))
+        << "profiler stage server_step/" << name;
+  }
+  std::remove(options.metrics_path.c_str());
+  std::remove(options.trace_path.c_str());
 }
 
 TEST(RpcRuntime, PlanHashIsOrderStableAndCodecSensitive) {
@@ -261,62 +247,40 @@ TEST(RpcRuntime, PlanHashIsOrderStableAndCodecSensitive) {
 // handshake deadline with a descriptive error, not hang.
 TEST(RpcRuntime, HandshakeTimeoutFailsCleanly) {
   TestSetup setup = MakeTestSetup(1, 1, compress::CodecConfig::Float32());
-  nn::Model model =
-      train::BuildMlp(setup.config.model, setup.config.model_seed);
-  const ps::TensorPlan plan = ps::TensorPlan::FromParams(
-      model.Params(), setup.config.trainer.min_compress_elems);
-  auto codec = std::shared_ptr<const compress::Compressor>(
-      compress::MakeCompressor(setup.config.trainer.codec));
-  ps::ParameterServer ps(model, plan, codec, setup.config.trainer.optimizer);
-
-  RpcServerConfig sc;
-  sc.num_workers = 1;
-  sc.total_steps = 1;
-  sc.handshake_timeout_ms = 200;
-  RpcServer server(sc, ps, codec->name());
+  ServerChaos chaos;
+  chaos.handshake_timeout_ms = 200;
+  ServerHarness h = MakeServer(setup, 0, 8, nullptr, chaos);
   std::string error;
-  ASSERT_TRUE(server.Listen(&error)) << error;
-  EXPECT_FALSE(server.Run());
-  EXPECT_FALSE(server.error().empty());
-  EXPECT_NE(server.error().find("handshake"), std::string::npos)
-      << server.error();
+  ASSERT_TRUE(h.server->Listen(&error)) << error;
+  EXPECT_FALSE(h.server->Run());
+  EXPECT_FALSE(h.server->error().empty());
+  EXPECT_NE(h.server->error().find("handshake"), std::string::npos)
+      << h.server->error();
 }
 
 // A client that connects and vanishes mid-run is a fatal fault: the BSP
 // barrier can never complete, so the server reports it immediately.
 TEST(RpcRuntime, RogueDisconnectFailsServerCleanly) {
   TestSetup setup = MakeTestSetup(2, 100, compress::CodecConfig::Float32());
-  nn::Model model =
-      train::BuildMlp(setup.config.model, setup.config.model_seed);
-  const ps::TensorPlan plan = ps::TensorPlan::FromParams(
-      model.Params(), setup.config.trainer.min_compress_elems);
-  auto codec = std::shared_ptr<const compress::Compressor>(
-      compress::MakeCompressor(setup.config.trainer.codec));
-  ps::ParameterServer ps(model, plan, codec, setup.config.trainer.optimizer);
-
-  RpcServerConfig sc;
-  sc.num_workers = 2;
-  sc.total_steps = 100;
-  sc.handshake_timeout_ms = 5000;
-  RpcServer server(sc, ps, codec->name());
+  ServerHarness h = MakeServer(setup);
   std::string error;
-  ASSERT_TRUE(server.Listen(&error)) << error;
+  ASSERT_TRUE(h.server->Listen(&error)) << error;
 
   bool server_ok = true;
-  std::thread server_thread([&] { server_ok = server.Run(); });
+  std::thread server_thread([&] { server_ok = h.server->Run(); });
 
   {
     RetryOptions retry;
     std::string connect_error;
-    const int fd = ConnectWithRetry("127.0.0.1", server.port(), retry,
+    const int fd = ConnectWithRetry("127.0.0.1", h.server->port(), retry,
                                     nullptr, &connect_error);
     ASSERT_GE(fd, 0) << connect_error;
     Connection rogue(fd);
     // Say a valid-looking HELLO so the server counts us, then vanish.
     HandshakePayload payload;
     payload.worker_id = 0;
-    payload.plan_hash = PlanHash(plan, codec->name());
-    payload.codec = codec->name();
+    payload.plan_hash = PlanHash(*h.plan, h.codec->name());
+    payload.codec = h.codec->name();
     util::ByteBuffer hello;
     EncodeHandshake(payload, /*rejoin=*/false, hello);
     ASSERT_TRUE(rogue.SendFrame(MsgType::kHello, 0, 0, hello.span()));
@@ -326,37 +290,25 @@ TEST(RpcRuntime, RogueDisconnectFailsServerCleanly) {
 
   server_thread.join();
   EXPECT_FALSE(server_ok);
-  EXPECT_FALSE(server.error().empty());
-  EXPECT_EQ(server.steps_completed(), 0);
+  EXPECT_FALSE(h.server->error().empty());
+  EXPECT_EQ(h.server->steps_completed(), 0);
 }
 
 // Garbage bytes on the wire must surface as a frame error -> clean
 // failure, never an OOM, crash, or hang.
 TEST(RpcRuntime, CorruptedBytesFailServerCleanly) {
   TestSetup setup = MakeTestSetup(1, 1, compress::CodecConfig::Float32());
-  nn::Model model =
-      train::BuildMlp(setup.config.model, setup.config.model_seed);
-  const ps::TensorPlan plan = ps::TensorPlan::FromParams(
-      model.Params(), setup.config.trainer.min_compress_elems);
-  auto codec = std::shared_ptr<const compress::Compressor>(
-      compress::MakeCompressor(setup.config.trainer.codec));
-  ps::ParameterServer ps(model, plan, codec, setup.config.trainer.optimizer);
-
-  RpcServerConfig sc;
-  sc.num_workers = 1;
-  sc.total_steps = 1;
-  sc.handshake_timeout_ms = 5000;
-  RpcServer server(sc, ps, codec->name());
+  ServerHarness h = MakeServer(setup);
   std::string error;
-  ASSERT_TRUE(server.Listen(&error)) << error;
+  ASSERT_TRUE(h.server->Listen(&error)) << error;
 
   bool server_ok = true;
-  std::thread server_thread([&] { server_ok = server.Run(); });
+  std::thread server_thread([&] { server_ok = h.server->Run(); });
 
   {
     RetryOptions retry;
     std::string connect_error;
-    const int fd = ConnectWithRetry("127.0.0.1", server.port(), retry,
+    const int fd = ConnectWithRetry("127.0.0.1", h.server->port(), retry,
                                     nullptr, &connect_error);
     ASSERT_GE(fd, 0) << connect_error;
     Connection rogue(fd);
@@ -370,42 +322,30 @@ TEST(RpcRuntime, CorruptedBytesFailServerCleanly) {
 
   server_thread.join();
   EXPECT_FALSE(server_ok);
-  EXPECT_FALSE(server.error().empty());
+  EXPECT_FALSE(h.server->error().empty());
 }
 
 // A worker built against a different plan/codec must be rejected at the
 // handshake with an ERROR frame, before any payload is interpreted.
 TEST(RpcRuntime, PlanHashMismatchRejectedAtHandshake) {
   TestSetup setup = MakeTestSetup(1, 1, compress::CodecConfig::Float32());
-  nn::Model model =
-      train::BuildMlp(setup.config.model, setup.config.model_seed);
-  const ps::TensorPlan plan = ps::TensorPlan::FromParams(
-      model.Params(), setup.config.trainer.min_compress_elems);
-  auto codec = std::shared_ptr<const compress::Compressor>(
-      compress::MakeCompressor(setup.config.trainer.codec));
-  ps::ParameterServer ps(model, plan, codec, setup.config.trainer.optimizer);
-
-  RpcServerConfig sc;
-  sc.num_workers = 1;
-  sc.total_steps = 1;
-  sc.handshake_timeout_ms = 5000;
-  RpcServer server(sc, ps, codec->name());
+  ServerHarness h = MakeServer(setup);
   std::string error;
-  ASSERT_TRUE(server.Listen(&error)) << error;
+  ASSERT_TRUE(h.server->Listen(&error)) << error;
 
   bool server_ok = true;
-  std::thread server_thread([&] { server_ok = server.Run(); });
+  std::thread server_thread([&] { server_ok = h.server->Run(); });
 
   RetryOptions retry;
   std::string connect_error;
-  const int fd = ConnectWithRetry("127.0.0.1", server.port(), retry, nullptr,
+  const int fd = ConnectWithRetry("127.0.0.1", h.server->port(), retry, nullptr,
                                   &connect_error);
   ASSERT_GE(fd, 0) << connect_error;
   Connection impostor(fd);
   HandshakePayload payload;
   payload.worker_id = 0;
   payload.plan_hash = 0xDEADBEEFu;  // not the server's plan hash
-  payload.codec = codec->name();
+  payload.codec = h.codec->name();
   util::ByteBuffer hello;
   EncodeHandshake(payload, /*rejoin=*/false, hello);
   ASSERT_TRUE(impostor.SendFrame(MsgType::kHello, 0, 0, hello.span()));
@@ -423,8 +363,8 @@ TEST(RpcRuntime, PlanHashMismatchRejectedAtHandshake) {
   impostor.Close();
   server_thread.join();
   EXPECT_FALSE(server_ok);
-  EXPECT_NE(server.error().find("plan"), std::string::npos)
-      << server.error();
+  EXPECT_NE(h.server->error().find("plan"), std::string::npos)
+      << h.server->error();
 }
 
 // Worker side: a dead port exhausts its bounded retries and reports the

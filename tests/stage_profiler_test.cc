@@ -1,13 +1,16 @@
 // StageProfiler: hierarchy paths, cross-thread merge, snapshot semantics,
-// log2-histogram quantiles, registry export, and the disabled no-op path.
+// log2-histogram quantiles, registry export, and the disabled no-op path;
+// ScopedStage's per-step slot and trace-span sinks.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/stage_profiler.h"
+#include "obs/trace.h"
 
 namespace threelc::obs {
 namespace {
@@ -169,7 +172,8 @@ TEST(StageProfilerTest, ExportToRegistryAsBatchCounters) {
   ASSERT_EQ(snap.counters.size(), 1u);
   EXPECT_EQ(snap.counters[0].name, "profile/work");
   EXPECT_EQ(snap.counters[0].events, static_cast<std::uint64_t>(kIters));
-  const StageSample* s = Find(profiler.Snapshot(), "work");
+  const auto samples = profiler.Snapshot();
+  const StageSample* s = Find(samples, "work");
   ASSERT_NE(s, nullptr);
   EXPECT_NEAR(snap.counters[0].value,
               static_cast<double>(s->total_ns) * 1e-9, 1e-12);
@@ -195,6 +199,45 @@ TEST(StageProfilerTest, WritePrometheusEmitsStageFamilies) {
   // fails the CI scrape otherwise).
   EXPECT_EQ(text.find("# TYPE threelc_stage_step_seconds_total"),
             text.rfind("# TYPE threelc_stage_step_seconds_total"));
+}
+
+// With the profiler and tracer off the slot still fills (how a spawned
+// worker with no Telemetry gets its TELEMETRY phase numbers), and sums.
+TEST(StageProfilerTest, SlotFillsWithEveryOtherSinkOff) {
+  StageProfiler profiler;  // disabled
+  Tracer tracer;           // disabled
+  std::uint64_t slot_ns = 0;
+  for (int i = 0; i < 2; ++i) {
+    ScopedStage stage(&profiler, "phase", &slot_ns, {&tracer, 1, 7});
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  EXPECT_GE(slot_ns, 100'000u);
+  EXPECT_TRUE(profiler.Snapshot().empty());
+  EXPECT_EQ(tracer.event_count(), 0u);
+}
+
+// One clock pair, three sinks: the slot, the profiler stage and the span
+// (named after the leaf, stamped with the step) carry the same duration.
+TEST(StageProfilerTest, AllSinksRecordTheSameDuration) {
+  StageProfiler profiler;
+  profiler.set_enabled(true);
+  Tracer tracer;
+  tracer.set_enabled(true);
+  std::uint64_t slot_ns = 0;
+  {
+    ScopedStage step(&profiler, "step");
+    ScopedStage phase(&profiler, "decode", &slot_ns, {&tracer, 2, 41});
+  }
+  const auto samples = profiler.Snapshot();
+  const StageSample* s = Find(samples, "step/decode");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->total_ns, slot_ns);
+  const std::vector<TraceEvent> events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "decode");
+  EXPECT_EQ(events[0].track, 2);
+  EXPECT_EQ(events[0].step, 41);
+  EXPECT_DOUBLE_EQ(events[0].dur_us, static_cast<double>(slot_ns) * 1e-3);
 }
 
 }  // namespace

@@ -56,10 +56,10 @@ class MergeTracesTest(unittest.TestCase):
                        "args": {"name": "worker-0"}})
         for s in range(5):
             barrier_end = 10000.0 + 2000.0 * s
-            server.append(span("rpc/step_barrier", 0, barrier_end - 500.0,
+            server.append(span("step_barrier", 0, barrier_end - 500.0,
                                500.0, step=s))
             push_end = barrier_end - self.OFFSET_US
-            worker.append(span("rpc/push", 1, push_end - 300.0, 300.0,
+            worker.append(span("push", 1, push_end - 300.0, 300.0,
                                step=s))
             worker.append(span("forward_backward", 1, push_end - 1500.0,
                                1000.0, step=s))
@@ -91,14 +91,14 @@ class MergeTracesTest(unittest.TestCase):
         # Worker events moved to pid 1 and shifted onto the server clock.
         server_barriers = {e["args"]["step"]: e["ts"] + e["dur"]
                            for e in events
-                           if e.get("name") == "rpc/step_barrier"}
+                           if e.get("name") == "step_barrier"}
         worker_pushes = {e["args"]["step"]: e["ts"] + e["dur"]
-                         for e in events if e.get("name") == "rpc/push"}
+                         for e in events if e.get("name") == "push"}
         for s in range(5):
             self.assertAlmostEqual(server_barriers[s], worker_pushes[s],
                                    delta=1.0)
         for e in events:
-            if e.get("name") in ("rpc/push", "forward_backward"):
+            if e.get("name") in ("push", "forward_backward"):
                 self.assertEqual(e["pid"], 1)
 
     def test_rejoined_rank_gets_independent_offsets(self):
@@ -110,14 +110,14 @@ class MergeTracesTest(unittest.TestCase):
         server, first, second = [], [], []
         for s in range(5):
             barrier_end = 10000.0 + 2000.0 * s
-            server.append(span("rpc/step_barrier", 0, barrier_end - 500.0,
+            server.append(span("step_barrier", 0, barrier_end - 500.0,
                                500.0, step=s))
             if s < 2:
-                first.append(span("rpc/push", 1,
+                first.append(span("push", 1,
                                   barrier_end - first_skew - 300.0, 300.0,
                                   step=s))
             elif s >= 3:
-                second.append(span("rpc/push", 1,
+                second.append(span("push", 1,
                                    barrier_end - second_skew - 300.0, 300.0,
                                    step=s))
         with tempfile.TemporaryDirectory() as tmp:
@@ -145,9 +145,9 @@ class MergeTracesTest(unittest.TestCase):
         # Both incarnations landed on the server clock: every push end
         # matches its barrier end despite the two unrelated skews.
         barriers = {e["args"]["step"]: e["ts"] + e["dur"] for e in events
-                    if e.get("name") == "rpc/step_barrier"}
+                    if e.get("name") == "step_barrier"}
         pushes = {e["args"]["step"]: e["ts"] + e["dur"] for e in events
-                  if e.get("name") == "rpc/push"}
+                  if e.get("name") == "push"}
         for s in (0, 1, 3, 4):
             self.assertAlmostEqual(barriers[s], pushes[s], delta=1.0,
                                    msg=f"step {s}")

@@ -8,10 +8,11 @@ chrome://tracing / Perfetto file with one pid per process and worker
 timelines shifted onto the server's clock.
 
 Alignment uses the step ids stamped into the spans (the "args":{"step":N}
-field emitted by obs::ScopedSpan): for every step both sides see, the
-server's rpc/step_barrier span ends when the last push of that step
-arrived, and a worker's rpc/push span ends when its push was flushed. The
-per-trace offset is the median over common steps of
+field every step-phase obs::ScopedStage writes; a span is named after its
+stage, the same name the step JSONL phases_ms and /clusterz use): for
+every step both sides see, the server's step_barrier span ends when the
+last push of that step arrived, and a worker's push span ends when its
+push was flushed. The per-trace offset is the median over common steps of
 (server_barrier_end - worker_push_end), which is robust to stragglers and
 needs no synchronized clocks.
 
@@ -61,8 +62,8 @@ def span_ends_by_step(events, name):
 
 def worker_offset_us(server_events, worker_events):
     """Shift to add to worker timestamps; None when no common steps."""
-    server_ends = span_ends_by_step(server_events, "rpc/step_barrier")
-    worker_ends = span_ends_by_step(worker_events, "rpc/push")
+    server_ends = span_ends_by_step(server_events, "step_barrier")
+    worker_ends = span_ends_by_step(worker_events, "push")
     common = sorted(set(server_ends) & set(worker_ends))
     if not common:
         return None, 0
