@@ -20,6 +20,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "tensor/tensor_ops.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 using namespace threelc;
@@ -158,6 +159,19 @@ void BM_ZeroRunDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ZeroRunDecode);
+
+// CRC32C over every wire frame payload and checkpoint body: a 64 KiB
+// block and one lan-f32 tensor-sized payload (1,470,504 B).
+void BM_Crc32c(benchmark::State& state) {
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));
+  util::Rng rng(7);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::Crc32c(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(64 << 10)->Arg(1470504);
 
 // Full-codec encode throughput for every compared design — the per-value
 // CPU cost column behind Table 1's computation-overhead story.

@@ -1,6 +1,24 @@
 #include "compress/compressor.h"
 
+#include <stdexcept>
+
 namespace threelc::compress {
+
+void SaveFloats(ByteBuffer& out, const std::vector<float>& v) {
+  out.AppendU64(v.size());
+  out.Append(v.data(), v.size() * sizeof(float));
+}
+
+void LoadFloats(ByteReader& in, std::vector<float>& v, const char* codec) {
+  const std::uint64_t n = in.ReadU64();
+  if (n != v.size()) {
+    throw std::runtime_error(std::string(codec) +
+                             " context state mismatch: saved " +
+                             std::to_string(n) + " values, context has " +
+                             std::to_string(v.size()));
+  }
+  in.ReadInto(v.data(), v.size() * sizeof(float));
+}
 
 void Compressor::Encode(const Tensor& in, Context& ctx, ByteBuffer& out,
                         EncodeStats* stats) const {

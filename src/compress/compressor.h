@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "tensor/tensor.h"
 #include "util/byte_buffer.h"
@@ -41,11 +42,19 @@ class Context {
   // error-accumulation buffer; reusable scratch is excluded) so a restarted
   // worker continues the identical quantization trajectory. LoadState must
   // consume exactly what SaveState wrote into a context of the same shape,
-  // throwing std::runtime_error on mismatch. Stateless codecs write and
-  // read nothing.
+  // throwing std::runtime_error on mismatch. Every context with state
+  // across encodes (residuals, accumulators, RNG streams) overrides both;
+  // stateless codecs write and read nothing.
   virtual void SaveState(ByteBuffer& out) const { (void)out; }
   virtual void LoadState(ByteReader& in) { (void)in; }
 };
+
+// Bulk (de)serialization of a context's persistent float buffer: u64
+// count, then the floats' raw little-endian bytes in one copy. LoadFloats
+// throws std::runtime_error naming `codec` when the saved count differs
+// from v.size().
+void SaveFloats(ByteBuffer& out, const std::vector<float>& v);
+void LoadFloats(ByteReader& in, std::vector<float>& v, const char* codec);
 
 // Per-encode statistics sink for the observability layer. Callers that want
 // telemetry pass a (zeroed) EncodeStats to Encode; codecs fill the fields

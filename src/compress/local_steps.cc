@@ -20,6 +20,15 @@ class LocalStepsContext final : public Context {
     return accum_.size() * sizeof(float);
   }
 
+  void SaveState(ByteBuffer& out) const override {
+    SaveFloats(out, accum_);
+    out.AppendU32(static_cast<std::uint32_t>(step_));
+  }
+  void LoadState(ByteReader& in) override {
+    LoadFloats(in, accum_, "local steps");
+    step_ = static_cast<int>(in.ReadU32());
+  }
+
   std::vector<float> accum_;
   int step_ = 0;
 };

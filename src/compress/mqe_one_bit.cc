@@ -19,6 +19,13 @@ class MqeContext final : public Context {
     return residual_.size() * sizeof(float);
   }
 
+  void SaveState(ByteBuffer& out) const override {
+    SaveFloats(out, residual_);
+  }
+  void LoadState(ByteReader& in) override {
+    LoadFloats(in, residual_, "MQE 1-bit");
+  }
+
   std::vector<float> residual_;
   std::vector<float> accum_;  // scratch
 };

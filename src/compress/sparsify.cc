@@ -23,6 +23,15 @@ class SparsifyContext final : public Context {
     return residual_.size() * sizeof(float);
   }
 
+  void SaveState(ByteBuffer& out) const override {
+    SaveFloats(out, residual_);
+    rng_.SaveState(out);
+  }
+  void LoadState(ByteReader& in) override {
+    LoadFloats(in, residual_, "sparsification");
+    rng_.LoadState(in);
+  }
+
   std::vector<float> residual_;
   std::vector<float> accum_;  // scratch
   util::Rng rng_;

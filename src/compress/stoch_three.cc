@@ -21,6 +21,9 @@ class StochContext final : public Context {
   StochContext(const Shape& shape, std::uint64_t seed)
       : rng_(seed), ternary_(static_cast<std::size_t>(shape.num_elements())) {}
 
+  void SaveState(ByteBuffer& out) const override { rng_.SaveState(out); }
+  void LoadState(ByteReader& in) override { rng_.LoadState(in); }
+
   util::Rng rng_;
   std::vector<std::int8_t> ternary_;  // scratch
   ByteBuffer quartic_;                // scratch

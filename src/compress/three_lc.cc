@@ -31,21 +31,18 @@ class ThreeLCContext final : public Context {
 
   void SaveState(ByteBuffer& out) const override {
     out.AppendU8(has_residual_ ? 1 : 0);
-    out.AppendU64(residual_.size());
-    for (const float r : residual_) out.AppendF32(r);
+    SaveFloats(out, residual_);
   }
 
   void LoadState(ByteReader& in) override {
     const bool has_residual = in.ReadU8() != 0;
-    const std::uint64_t n = in.ReadU64();
-    if (has_residual != has_residual_ || n != residual_.size()) {
+    if (has_residual != has_residual_) {
       throw std::runtime_error(
-          "3LC context state mismatch: saved " + std::to_string(n) +
-          " residuals (ea=" + std::to_string(has_residual) + "), context has " +
-          std::to_string(residual_.size()) +
-          " (ea=" + std::to_string(has_residual_) + ")");
+          "3LC context state mismatch: saved ea=" +
+          std::to_string(has_residual) +
+          ", context has ea=" + std::to_string(has_residual_));
     }
-    for (float& r : residual_) r = in.ReadF32();
+    LoadFloats(in, residual_, "3LC");
   }
 
   bool has_residual_;

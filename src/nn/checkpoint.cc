@@ -2,9 +2,6 @@
 
 #include <cstring>
 #include <fstream>
-#include <istream>
-#include <iterator>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -42,6 +39,9 @@ constexpr std::size_t kContainerHeaderBytes = 4 + 4 + 1 + 8 + 4 + 4;
 // far above any checkpoint this repo writes.
 constexpr std::uint64_t kMaxContainerRawBytes = 1ull << 32;
 
+// Magic + version: the bytes before the CRC-covered body.
+constexpr std::size_t kHeaderBytes = 8;
+
 struct NamedTensor {
   std::string name;
   Tensor* tensor;
@@ -57,52 +57,28 @@ std::vector<NamedTensor> CollectTensors(Model& model) {
   return tensors;
 }
 
-// Stream wrappers that fold every byte written/read after the version
-// field into a running CRC32C, so the trailer covers the whole body.
-// Writes accumulate the complete blob in memory (checkpoints here are
-// small — a model plus bounded state) so the container path can compress
-// it as one block; the blob then goes to disk through an
-// AtomicFileWriter (temp + fsync + rename), so an exception or crash at
-// any point leaves the previous checkpoint intact.
-struct CrcWriter {
-  util::ByteBuffer& out;
-  std::uint32_t crc = 0;
+// Every save builds the complete file in one in-memory blob (checkpoints
+// here are small — a model plus bounded state — so the container path can
+// compress it as one block): BeginBlob writes magic | version, the
+// sections append the body in place, and EndBlob appends the CRC32C of the
+// body in one pass. Clear() keeps the blob's capacity, so a caller that
+// passes the same blob to every save (CheckpointManager) serializes
+// without allocating once the first save has sized it.
+void BeginBlob(util::ByteBuffer& blob, const char (&magic)[4],
+               std::uint32_t version) {
+  blob.Clear();
+  blob.Append(magic, sizeof(magic));
+  blob.AppendU32(version);
+}
 
-  void Write(const void* data, std::size_t n) {
-    if (n == 0) return;
-    out.Append(data, n);
-    crc = util::Crc32cExtend(crc, data, n);
-  }
-  template <typename T>
-  void WriteScalar(T v) {
-    Write(&v, sizeof(T));
-  }
-};
+void EndBlob(util::ByteBuffer& blob) {
+  blob.AppendU32(util::Crc32c(blob.data() + kHeaderBytes,
+                              blob.size() - kHeaderBytes));
+}
 
-struct CrcReader {
-  std::istream& in;
-  std::uint32_t crc = 0;
-
-  void Read(void* data, std::size_t n) {
-    if (n == 0) return;
-    in.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
-    if (!in) throw std::runtime_error("checkpoint: unexpected end of file");
-    crc = util::Crc32cExtend(crc, data, n);
-  }
-  template <typename T>
-  T ReadScalar() {
-    T v;
-    Read(&v, sizeof(T));
-    return v;
-  }
-};
-
-template <typename T>
-T ReadScalarRaw(std::istream& in) {
-  T v;
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw std::runtime_error("checkpoint: unexpected end of file");
-  return v;
+void AppendBytes(util::ByteBuffer& blob, const std::vector<std::uint8_t>& v) {
+  blob.AppendU32(static_cast<std::uint32_t>(v.size()));
+  blob.Append(v.data(), v.size());
 }
 
 // Atomically write a finished checkpoint blob, optionally wrapped in the
@@ -142,21 +118,29 @@ void WriteBlob(const std::string& path, const util::ByteBuffer& blob,
 
 // Read the whole file, unwrapping (and strictly validating) the "3LCZ"
 // container when present. Returns the bare checkpoint bytes.
-std::vector<std::uint8_t> ReadCheckpointBytes(const std::string& path,
-                                              const char* what) {
-  std::ifstream in(path, std::ios::binary);
+util::ByteBuffer ReadCheckpointBytes(const std::string& path,
+                                     const char* what) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     throw std::runtime_error(std::string(what) + ": cannot open " + path);
   }
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
+  const std::streamsize size = in.tellg();
+  util::ByteBuffer bytes;
+  if (size > 0) {
+    bytes.Resize(static_cast<std::size_t>(size));
+    in.seekg(0);
+    in.read(reinterpret_cast<char*>(bytes.data()), size);
+  }
+  if (size < 0 || !in) {
+    throw std::runtime_error(std::string(what) + ": cannot read " + path);
+  }
   if (bytes.size() < sizeof(kContainerMagic) ||
       std::memcmp(bytes.data(), kContainerMagic,
                   sizeof(kContainerMagic)) != 0) {
     return bytes;  // bare (pre-container) checkpoint
   }
   try {
-    util::ByteReader reader(util::ByteSpan(bytes.data(), bytes.size()));
+    util::ByteReader reader(bytes);
     reader.ReadSpan(sizeof(kContainerMagic));
     const std::uint32_t version = reader.ReadU32();
     if (version != kContainerVersion) {
@@ -195,8 +179,7 @@ std::vector<std::uint8_t> ReadCheckpointBytes(const std::string& path,
     if (util::Crc32c(decoded.data(), decoded.size()) != raw_crc) {
       throw std::runtime_error("decoded bytes fail the container CRC32C");
     }
-    return std::vector<std::uint8_t>(decoded.data(),
-                                     decoded.data() + decoded.size());
+    return decoded;
   } catch (const std::exception& e) {
     throw std::runtime_error(std::string(what) +
                              ": bad compressed container in " + path + ": " +
@@ -204,74 +187,98 @@ std::vector<std::uint8_t> ReadCheckpointBytes(const std::string& path,
   }
 }
 
-// In-memory istream over the (possibly unwrapped) checkpoint bytes, so
-// one parser serves bare files and container contents alike.
-std::istringstream MemoryStream(const std::vector<std::uint8_t>& bytes) {
-  return std::istringstream(
-      std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()),
-      std::ios::binary);
+// A u32 count of records, each at least `min_record_bytes` long, refused
+// when the remaining bytes cannot hold that many — so a corrupt count
+// fails here instead of sizing an allocation before the CRC trailer is
+// checked.
+std::uint32_t ReadCount(util::ByteReader& in, std::size_t min_record_bytes,
+                        const char* field) {
+  const std::uint32_t count = in.ReadU32();
+  if (count > in.remaining() / min_record_bytes) {
+    throw std::runtime_error(std::string(field) + " " +
+                             std::to_string(count) + " exceeds the " +
+                             std::to_string(in.remaining()) +
+                             " bytes that remain");
+  }
+  return count;
 }
 
-void WriteTensorSection(CrcWriter& body, Model& model) {
+// A u32-length-prefixed byte string (the AppendBytes layout).
+std::vector<std::uint8_t> ReadBytes(util::ByteReader& in, const char* field) {
+  const util::ByteSpan bytes = in.ReadSpan(ReadCount(in, 1, field));
+  return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
+}
+
+// Parses the bare checkpoint in `path`: `magic`, then `parse(reader,
+// version)` reads the body, then the CRC32C trailer must match the body
+// bytes `parse` consumed. Every failure, a truncated file included, is a
+// std::runtime_error naming `path`.
+template <typename Parse>
+void ParseFile(const std::string& path, const char* what,
+               const char (&magic)[4], Parse&& parse) {
+  const util::ByteBuffer bytes = ReadCheckpointBytes(path, what);
+  try {
+    util::ByteReader in(bytes);
+    if (std::memcmp(in.ReadSpan(sizeof(magic)).data(), magic,
+                    sizeof(magic)) != 0) {
+      throw std::runtime_error("bad magic");
+    }
+    parse(in, in.ReadU32());
+    const std::size_t body_bytes = in.position() - kHeaderBytes;
+    if (in.ReadU32() !=
+        util::Crc32c(bytes.data() + kHeaderBytes, body_bytes)) {
+      throw std::runtime_error("CRC32C mismatch (file corrupt)");
+    }
+  } catch (const std::exception& e) {
+    throw std::runtime_error(std::string(what) + ": " + path + ": " +
+                             e.what());
+  }
+}
+
+void WriteTensorSection(util::ByteBuffer& blob, Model& model) {
   auto tensors = CollectTensors(model);
-  body.WriteScalar<std::uint32_t>(static_cast<std::uint32_t>(tensors.size()));
+  blob.AppendU32(static_cast<std::uint32_t>(tensors.size()));
   for (auto& [name, tensor] : tensors) {
-    body.WriteScalar<std::uint32_t>(static_cast<std::uint32_t>(name.size()));
-    body.Write(name.data(), name.size());
+    blob.AppendU32(static_cast<std::uint32_t>(name.size()));
+    blob.Append(name.data(), name.size());
     const auto& dims = tensor->shape().dims();
-    body.WriteScalar<std::uint32_t>(static_cast<std::uint32_t>(dims.size()));
-    for (auto d : dims) body.WriteScalar<std::int64_t>(d);
-    body.Write(tensor->data(), tensor->byte_size());
+    blob.AppendU32(static_cast<std::uint32_t>(dims.size()));
+    for (auto d : dims) blob.AppendScalar<std::int64_t>(d);
+    blob.Append(tensor->data(), tensor->byte_size());
   }
 }
 
-void ReadTensorSection(CrcReader& body, Model& model) {
+void ReadTensorSection(util::ByteReader& in, Model& model) {
   auto tensors = CollectTensors(model);
-  const auto count = body.ReadScalar<std::uint32_t>();
-  if (count != tensors.size()) {
-    throw std::runtime_error("checkpoint: tensor count mismatch");
+  if (in.ReadU32() != tensors.size()) {
+    throw std::runtime_error("tensor count mismatch");
   }
   for (auto& [name, tensor] : tensors) {
-    const auto name_len = body.ReadScalar<std::uint32_t>();
-    std::string stored_name(name_len, '\0');
-    body.Read(stored_name.data(), name_len);
+    const util::ByteSpan stored = in.ReadSpan(ReadCount(in, 1, "name_len"));
+    const std::string stored_name(stored.begin(), stored.end());
     if (stored_name != name) {
-      throw std::runtime_error("checkpoint: tensor name mismatch: expected " +
-                               name + ", found " + stored_name);
+      throw std::runtime_error("tensor name mismatch: expected " + name +
+                               ", found " + stored_name);
     }
-    const auto rank = body.ReadScalar<std::uint32_t>();
-    std::vector<std::int64_t> dims(rank);
-    for (auto& d : dims) d = body.ReadScalar<std::int64_t>();
+    std::vector<std::int64_t> dims(ReadCount(in, sizeof(std::int64_t), "rank"));
+    for (auto& d : dims) d = in.ReadScalar<std::int64_t>();
     if (tensor::Shape(dims) != tensor->shape()) {
-      throw std::runtime_error("checkpoint: shape mismatch for " + name);
+      throw std::runtime_error("shape mismatch for " + name);
     }
-    body.Read(tensor->data(), tensor->byte_size());
+    in.ReadInto(tensor->data(), tensor->byte_size());
   }
 }
 
-void WriteStateSection(CrcWriter& body, const TrainState& state) {
-  body.WriteScalar<std::uint64_t>(state.next_step);
-  body.WriteScalar<std::uint32_t>(
-      static_cast<std::uint32_t>(state.codec_state.size()));
-  body.Write(state.codec_state.data(), state.codec_state.size());
-  body.WriteScalar<std::uint32_t>(
-      static_cast<std::uint32_t>(state.sampler_state.size()));
-  body.Write(state.sampler_state.data(), state.sampler_state.size());
+void WriteStateSection(util::ByteBuffer& blob, const TrainState& state) {
+  blob.AppendU64(state.next_step);
+  AppendBytes(blob, state.codec_state);
+  AppendBytes(blob, state.sampler_state);
 }
 
-void ReadStateSection(CrcReader& body, TrainState* state) {
-  state->next_step = body.ReadScalar<std::uint64_t>();
-  state->codec_state.resize(body.ReadScalar<std::uint32_t>());
-  body.Read(state->codec_state.data(), state->codec_state.size());
-  state->sampler_state.resize(body.ReadScalar<std::uint32_t>());
-  body.Read(state->sampler_state.data(), state->sampler_state.size());
-}
-
-void CheckVersion(std::uint32_t version, const std::string& path) {
-  if (version < kVersionModel || version > kVersionTrainState) {
-    throw std::runtime_error("checkpoint: unsupported version " +
-                             std::to_string(version) + " in " + path);
-  }
+void ReadStateSection(util::ByteReader& in, TrainState* state) {
+  state->next_step = in.ReadU64();
+  state->codec_state = ReadBytes(in, "codec_state");
+  state->sampler_state = ReadBytes(in, "sampler_state");
 }
 
 // Shared load path: restores tensors, fills *state from a v3 section when
@@ -279,80 +286,68 @@ void CheckVersion(std::uint32_t version, const std::string& path) {
 // verifies the CRC trailer.
 void LoadImpl(Model& model, TrainState* state, bool require_state,
               const std::string& path) {
-  const std::vector<std::uint8_t> bytes =
-      ReadCheckpointBytes(path, "checkpoint");
-  std::istringstream in = MemoryStream(bytes);
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("checkpoint: bad magic in " + path);
-  }
-  const auto version = ReadScalarRaw<std::uint32_t>(in);
-  CheckVersion(version, path);
-  if (require_state && version < kVersionTrainState) {
-    throw std::runtime_error(
-        "checkpoint: " + path + " (version " + std::to_string(version) +
-        ") has no training-state section; cannot resume exactly");
-  }
-
-  CrcReader body{in};
-  ReadTensorSection(body, model);
-  if (version >= kVersionTrainState) {
-    TrainState discard;
-    ReadStateSection(body, state != nullptr ? state : &discard);
-  }
-  const auto stored = ReadScalarRaw<std::uint32_t>(in);
-  if (stored != body.crc) {
-    throw std::runtime_error("checkpoint: CRC32C mismatch in " + path +
-                             " (file corrupt)");
-  }
+  ParseFile(path, "checkpoint", kMagic,
+            [&](util::ByteReader& in, std::uint32_t version) {
+              if (version < kVersionModel || version > kVersionTrainState) {
+                throw std::runtime_error("unsupported version " +
+                                         std::to_string(version));
+              }
+              if (require_state && version < kVersionTrainState) {
+                throw std::runtime_error(
+                    "version " + std::to_string(version) +
+                    " has no training-state section; cannot resume exactly");
+              }
+              ReadTensorSection(in, model);
+              if (version >= kVersionTrainState) {
+                TrainState discard;
+                ReadStateSection(in, state != nullptr ? state : &discard);
+              }
+            });
 }
 
-void WriteServerStateSection(CrcWriter& body, const ServerState& state) {
+void WriteServerStateSection(util::ByteBuffer& blob, const ServerState& state) {
   if (state.evicted.size() != state.greeted.size()) {
     throw std::runtime_error(
         "server checkpoint: evicted/greeted table size mismatch");
   }
-  body.WriteScalar<std::uint64_t>(state.epoch);
-  body.WriteScalar<std::uint64_t>(state.next_step);
-  body.WriteScalar<std::uint32_t>(
-      static_cast<std::uint32_t>(state.ps_state.size()));
-  body.Write(state.ps_state.data(), state.ps_state.size());
-  body.WriteScalar<std::uint32_t>(
-      static_cast<std::uint32_t>(state.evicted.size()));
-  body.Write(state.evicted.data(), state.evicted.size());
-  body.Write(state.greeted.data(), state.greeted.size());
-  body.WriteScalar<std::uint32_t>(
-      static_cast<std::uint32_t>(state.replay.size()));
+  blob.AppendU64(state.epoch);
+  blob.AppendU64(state.next_step);
+  if (state.write_ps_state) {
+    const std::size_t length_at = blob.size();
+    blob.AppendU32(0);  // patched once the length is known
+    state.write_ps_state(blob);
+    const auto length =
+        static_cast<std::uint32_t>(blob.size() - length_at - 4);
+    std::memcpy(blob.data() + length_at, &length, sizeof(length));
+  } else {
+    AppendBytes(blob, state.ps_state);
+  }
+  AppendBytes(blob, state.evicted);
+  blob.Append(state.greeted.data(), state.greeted.size());
+  blob.AppendU32(static_cast<std::uint32_t>(state.replay.size()));
   for (const auto& entry : state.replay) {
-    body.WriteScalar<std::uint64_t>(entry.step);
-    body.WriteScalar<std::uint32_t>(
-        static_cast<std::uint32_t>(entry.frames.size()));
-    for (const auto& frame : entry.frames) {
-      body.WriteScalar<std::uint32_t>(static_cast<std::uint32_t>(frame.size()));
-      body.Write(frame.data(), frame.size());
-    }
+    blob.AppendU64(entry.step);
+    blob.AppendU32(static_cast<std::uint32_t>(entry.frames.size()));
+    for (const auto& frame : entry.frames) AppendBytes(blob, frame);
   }
 }
 
-void ReadServerStateSection(CrcReader& body, ServerState* state) {
-  state->epoch = body.ReadScalar<std::uint64_t>();
-  state->next_step = body.ReadScalar<std::uint64_t>();
-  state->ps_state.resize(body.ReadScalar<std::uint32_t>());
-  body.Read(state->ps_state.data(), state->ps_state.size());
-  const auto workers = body.ReadScalar<std::uint32_t>();
-  state->evicted.resize(workers);
-  body.Read(state->evicted.data(), state->evicted.size());
-  state->greeted.resize(workers);
-  body.Read(state->greeted.data(), state->greeted.size());
-  state->replay.resize(body.ReadScalar<std::uint32_t>());
+void ReadServerStateSection(util::ByteReader& in, ServerState* state) {
+  state->epoch = in.ReadU64();
+  state->next_step = in.ReadU64();
+  state->ps_state = ReadBytes(in, "ps_state");
+  // evicted and greeted share one u32 worker count.
+  const std::uint32_t workers = ReadCount(in, 2, "worker count");
+  const util::ByteSpan evicted = in.ReadSpan(workers);
+  const util::ByteSpan greeted = in.ReadSpan(workers);
+  state->evicted.assign(evicted.begin(), evicted.end());
+  state->greeted.assign(greeted.begin(), greeted.end());
+  // Smallest replay entry: u64 step + u32 frame count; frame: u32 size.
+  state->replay.resize(ReadCount(in, 12, "replay count"));
   for (auto& entry : state->replay) {
-    entry.step = body.ReadScalar<std::uint64_t>();
-    entry.frames.resize(body.ReadScalar<std::uint32_t>());
-    for (auto& frame : entry.frames) {
-      frame.resize(body.ReadScalar<std::uint32_t>());
-      body.Read(frame.data(), frame.size());
-    }
+    entry.step = in.ReadU64();
+    entry.frames.resize(ReadCount(in, 4, "frame count"));
+    for (auto& frame : entry.frames) frame = ReadBytes(in, "frame size");
   }
 }
 
@@ -361,13 +356,9 @@ void ReadServerStateSection(CrcReader& body, ServerState* state) {
 void SaveCheckpoint(Model& model, const std::string& path,
                     const std::string& block_codec, util::Fs* fs) {
   util::ByteBuffer blob;
-  blob.Append(kMagic, sizeof(kMagic));
-  const std::uint32_t version = kVersionModel;
-  blob.Append(&version, sizeof(version));
-
-  CrcWriter body{blob};
-  WriteTensorSection(body, model);
-  blob.Append(&body.crc, sizeof(body.crc));
+  BeginBlob(blob, kMagic, kVersionModel);
+  WriteTensorSection(blob, model);
+  EndBlob(blob);
   WriteBlob(path, blob, block_codec, "checkpoint", fs);
 }
 
@@ -375,14 +366,10 @@ void SaveCheckpointWithState(Model& model, const TrainState& state,
                              const std::string& path,
                              const std::string& block_codec, util::Fs* fs) {
   util::ByteBuffer blob;
-  blob.Append(kMagic, sizeof(kMagic));
-  const std::uint32_t version = kVersionTrainState;
-  blob.Append(&version, sizeof(version));
-
-  CrcWriter body{blob};
-  WriteTensorSection(body, model);
-  WriteStateSection(body, state);
-  blob.Append(&body.crc, sizeof(body.crc));
+  BeginBlob(blob, kMagic, kVersionTrainState);
+  WriteTensorSection(blob, model);
+  WriteStateSection(blob, state);
+  EndBlob(blob);
   WriteBlob(path, blob, block_codec, "checkpoint", fs);
 }
 
@@ -397,42 +384,28 @@ void LoadCheckpointState(Model& model, TrainState* state,
 
 void SaveServerCheckpoint(Model& model, const ServerState& state,
                           const std::string& path,
-                          const std::string& block_codec, util::Fs* fs) {
-  util::ByteBuffer blob;
-  blob.Append(kServerMagic, sizeof(kServerMagic));
-  const std::uint32_t version = kServerVersion;
-  blob.Append(&version, sizeof(version));
-
-  CrcWriter body{blob};
-  WriteTensorSection(body, model);
-  WriteServerStateSection(body, state);
-  blob.Append(&body.crc, sizeof(body.crc));
-  WriteBlob(path, blob, block_codec, "server checkpoint", fs);
+                          const std::string& block_codec, util::Fs* fs,
+                          util::ByteBuffer* blob) {
+  util::ByteBuffer local;
+  util::ByteBuffer& out = blob != nullptr ? *blob : local;
+  BeginBlob(out, kServerMagic, kServerVersion);
+  WriteTensorSection(out, model);
+  WriteServerStateSection(out, state);
+  EndBlob(out);
+  WriteBlob(path, out, block_codec, "server checkpoint", fs);
 }
 
 void LoadServerCheckpoint(Model& model, ServerState* state,
                           const std::string& path) {
-  const std::vector<std::uint8_t> bytes =
-      ReadCheckpointBytes(path, "server checkpoint");
-  std::istringstream in = MemoryStream(bytes);
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kServerMagic, sizeof(kServerMagic)) != 0) {
-    throw std::runtime_error("server checkpoint: bad magic in " + path);
-  }
-  const auto version = ReadScalarRaw<std::uint32_t>(in);
-  if (version != kServerVersion) {
-    throw std::runtime_error("server checkpoint: unsupported version " +
-                             std::to_string(version) + " in " + path);
-  }
-  CrcReader body{in};
-  ReadTensorSection(body, model);
-  ReadServerStateSection(body, state);
-  const auto stored = ReadScalarRaw<std::uint32_t>(in);
-  if (stored != body.crc) {
-    throw std::runtime_error("server checkpoint: CRC32C mismatch in " + path +
-                             " (file corrupt)");
-  }
+  ParseFile(path, "server checkpoint", kServerMagic,
+            [&](util::ByteReader& in, std::uint32_t version) {
+              if (version != kServerVersion) {
+                throw std::runtime_error("unsupported version " +
+                                         std::to_string(version));
+              }
+              ReadTensorSection(in, model);
+              ReadServerStateSection(in, state);
+            });
 }
 
 }  // namespace threelc::nn

@@ -50,16 +50,22 @@
 // the previous complete checkpoint or the new one — never a torn file.
 // Every save takes an optional util::Fs* syscall seam (nullptr = the real
 // filesystem) so storage-fault drills can fail exactly one call; see
-// util/fs.h. Loads read through plain streams — a corrupt file is the
-// interesting failure there, and CheckpointManager (checkpoint_manager.h)
-// layers generation fallback on top of these primitives.
+// util/fs.h. Loads read the whole file and parse it with util::ByteReader;
+// every length and count is checked against the bytes that remain before
+// anything is sized by it, so a corrupt file fails with a
+// std::runtime_error naming its path rather than a huge allocation. A
+// corrupt file is the interesting failure there, and CheckpointManager
+// (checkpoint_manager.h) layers generation fallback on top of these
+// primitives.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "nn/model.h"
+#include "util/byte_buffer.h"
 #include "util/fs.h"
 
 namespace threelc::nn {
@@ -115,6 +121,11 @@ struct ServerState {
   // applied to the model and ps_state).
   std::uint64_t next_step = 0;
   std::vector<std::uint8_t> ps_state;
+  // Save side only: when set, a save calls it to append the ps_state bytes
+  // straight into the file buffer (ps_state itself is then ignored), so a
+  // server checkpointing every step never copies its state twice. Loads
+  // always fill ps_state.
+  std::function<void(util::ByteBuffer&)> write_ps_state;
   // Per-worker membership tables, indexed by worker id. evicted[w] != 0
   // marks a permanently removed worker; greeted[w] != 0 marks one that
   // completed a HELLO/REJOIN at some point (and must REJOIN, not HELLO,
@@ -132,11 +143,15 @@ struct ServerState {
 
 // Writes a server checkpoint ("3LCS", version 1, CRC32C trailer) —
 // atomically, like every save here; `block_codec` as in SaveCheckpoint.
+// The file is serialized into `*blob` when given (its old contents are
+// discarded, its capacity kept), so a caller saving every step reuses one
+// buffer instead of allocating a new one per save.
 // Throws std::runtime_error on I/O failure or an unknown codec name.
 void SaveServerCheckpoint(Model& model, const ServerState& state,
                           const std::string& path,
                           const std::string& block_codec = "store",
-                          util::Fs* fs = nullptr);
+                          util::Fs* fs = nullptr,
+                          util::ByteBuffer* blob = nullptr);
 
 // Restores a server checkpoint into `model` and `*state`. Throws
 // std::runtime_error on I/O failure, bad magic/version, truncation, CRC

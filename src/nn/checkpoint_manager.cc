@@ -74,7 +74,7 @@ void CheckpointManager::Save(Model& model, const ServerState& state) {
   // reuses the same "<path>.g<N>.tmp.<pid>" sibling (O_TRUNC) and no
   // temp files accumulate across retries.
   SaveServerCheckpoint(model, state, GenerationPath(gen),
-                       options_.block_codec, options_.fs);
+                       options_.block_codec, options_.fs, &blob_);
   next_gen_ = gen + 1;
   generations_.push_back(gen);
   while (generation_count() > options_.retain) {

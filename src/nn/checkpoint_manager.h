@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "nn/checkpoint.h"
+#include "util/byte_buffer.h"
 #include "util/fs.h"
 
 namespace threelc::nn {
@@ -58,7 +59,9 @@ class CheckpointManager {
   // Write the next generation atomically, then prune beyond retention.
   // Throws std::runtime_error on write failure; the generation number is
   // not consumed, so a retry overwrites the same temp sibling and lands
-  // at the same "<path>.g<N>".
+  // at the same "<path>.g<N>". Every save (retries included) serializes
+  // into the manager's one blob buffer, so saves after the first allocate
+  // no file-sized memory.
   void Save(Model& model, const ServerState& state);
 
   // Restore the newest usable generation into model/*state, falling back
@@ -89,6 +92,7 @@ class CheckpointManager {
   int fallbacks_ = 0;
   std::string loaded_path_;
   std::vector<std::string> fallback_log_;
+  util::ByteBuffer blob_;  // serialized generation, reused by every Save
 };
 
 }  // namespace threelc::nn

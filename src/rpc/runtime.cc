@@ -1286,28 +1286,31 @@ bool RpcServer::WriteCheckpoint(std::int64_t next_step, bool force) {
       static_cast<std::int64_t>(std::max(config_.checkpoint_every, 1));
   if (!force && next_step % every != 0) return true;
 
-  nn::ServerState state;
+  nn::ServerState& state = ckpt_state_;
   state.epoch = epoch_;
   state.next_step = static_cast<std::uint64_t>(std::max<std::int64_t>(
       next_step, 0));
-  util::ByteBuffer ps_blob;
-  ps_->SaveState(ps_blob);
-  state.ps_state.assign(ps_blob.data(), ps_blob.data() + ps_blob.size());
+  if (!state.write_ps_state) {
+    state.write_ps_state = [this](util::ByteBuffer& out) {
+      ps_->SaveState(out);
+    };
+  }
   state.evicted.resize(member_state_.size());
   state.greeted.resize(greeted_.size());
   for (std::size_t w = 0; w < member_state_.size(); ++w) {
     state.evicted[w] = member_state_[w] == Member::kEvicted ? 1 : 0;
     state.greeted[w] = greeted_[w] ? 1 : 0;
   }
-  state.replay.reserve(replay_.size());
+  state.replay.resize(replay_.size());
+  auto entry = state.replay.begin();
   for (const auto& [step, tensors] : replay_) {
-    nn::ServerState::ReplayStep rs;
-    rs.step = static_cast<std::uint64_t>(step);
-    rs.frames.reserve(tensors.size());
-    for (const util::ByteBuffer& bytes : tensors) {
-      rs.frames.emplace_back(bytes.data(), bytes.data() + bytes.size());
+    entry->step = static_cast<std::uint64_t>(step);
+    entry->frames.resize(tensors.size());
+    for (std::size_t t = 0; t < tensors.size(); ++t) {
+      entry->frames[t].assign(tensors[t].data(),
+                              tensors[t].data() + tensors[t].size());
     }
-    state.replay.push_back(std::move(rs));
+    ++entry;
   }
   // Degraded-but-alive storage posture: a failed write is retried with a
   // linear backoff, and exhaustion degrades the run (recovery is at risk

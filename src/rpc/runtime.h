@@ -69,6 +69,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "nn/checkpoint.h"
 #include "ps/plan.h"
 #include "ps/server.h"
 #include "ps/worker.h"
@@ -383,6 +384,11 @@ class RpcServer {
   // recovery at risk" so /healthz degradation from storage is not
   // cleared by unrelated recoveries (e.g. a rejoin completing).
   std::unique_ptr<nn::CheckpointManager> ckpt_;
+  // What WriteCheckpoint persists, refilled in place every checkpoint so
+  // its buffers keep their capacity across steps (empty, holding no
+  // memory, when checkpoint_path is unset). Its write_ps_state hook
+  // serializes ps_ straight into the checkpoint file buffer.
+  nn::ServerState ckpt_state_;
   bool ckpt_degraded_ = false;
   std::size_t ckpt_writes_ = 0;
   std::size_t ckpt_write_failures_ = 0;

@@ -1,5 +1,11 @@
 #include "util/crc32.h"
 
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace threelc::util {
 
 namespace {
@@ -35,10 +41,41 @@ const Tables& GetTables() {
   return tables;
 }
 
+#if defined(__x86_64__)
+// SSE4.2 `crc32` computes exactly this polynomial, 8 bytes per instruction.
+// Compiled for SSE4.2 in this function only; Crc32cExtend calls it after
+// checking the CPU, so the rest of the build keeps its baseline ISA.
+__attribute__((target("sse4.2"))) std::uint32_t Crc32cExtendSse42(
+    std::uint32_t crc, const void* data, std::size_t n) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  std::uint64_t c = ~crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    c = _mm_crc32_u64(c, word);
+  }
+  auto c32 = static_cast<std::uint32_t>(c);
+  for (; n > 0; ++p, --n) c32 = _mm_crc32_u8(c32, *p);
+  return ~c32;
+}
+#endif
+
+using ExtendFn = std::uint32_t (*)(std::uint32_t, const void*, std::size_t);
+
+ExtendFn ChooseExtend() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return Crc32cExtendSse42;
+#endif
+  return internal::Crc32cExtendTable;
+}
+
 }  // namespace
 
-std::uint32_t Crc32cExtend(std::uint32_t crc, const void* data,
-                           std::size_t n) {
+namespace internal {
+
+std::uint32_t Crc32cExtendTable(std::uint32_t crc, const void* data,
+                                std::size_t n) {
   const Tables& tb = GetTables();
   const auto* p = static_cast<const std::uint8_t*>(data);
   crc = ~crc;
@@ -61,6 +98,14 @@ std::uint32_t Crc32cExtend(std::uint32_t crc, const void* data,
     --n;
   }
   return ~crc;
+}
+
+}  // namespace internal
+
+std::uint32_t Crc32cExtend(std::uint32_t crc, const void* data,
+                           std::size_t n) {
+  static const ExtendFn extend = ChooseExtend();
+  return extend(crc, data, n);
 }
 
 }  // namespace threelc::util

@@ -12,6 +12,7 @@
 #include "tensor/tensor_ops.h"
 #include "train/model_zoo.h"
 #include "util/atomic_file.h"
+#include "util/crc32.h"
 #include "util/fs.h"
 #include "util/rng.h"
 
@@ -811,6 +812,177 @@ TEST(CheckpointManager, SaveThrowsOnInjectedDiskFull) {
   nn::CheckpointManager retry(retry_options);
   retry.Save(model, NumberedState(0));
   EXPECT_FALSE(ReadFileBytes(retry.GenerationPath(0)).empty());
+  RemoveGenerations(path);
+}
+
+// ---------- pinned bytes and corrupt lengths ----------
+
+// Overwrites every parameter and buffer with values that depend only on
+// their position, so pinned file bytes do not depend on the platform's
+// math library.
+void FillDeterministic(nn::Model& model) {
+  std::size_t k = 0;
+  auto fill = [&](tensor::Tensor* t) {
+    float* d = t->data();
+    for (std::int64_t i = 0; i < t->num_elements(); ++i) {
+      d[i] = static_cast<float>(k++ % 97) * 0.25f - 12.0f;
+    }
+  };
+  for (auto& p : model.Params()) fill(p.value);
+  for (tensor::Tensor* b : model.Buffers()) fill(b);
+}
+
+// CRC32C of a file minus its 4-byte trailer. (The CRC of a whole file
+// would not pin anything: a CRC over a body followed by that body's CRC
+// depends only on the header and the length.)
+std::uint32_t CrcBeforeTrailer(const std::string& bytes) {
+  return util::Crc32c(bytes.data(), bytes.size() - 4);
+}
+
+// Sizes and checksums recorded from the stream-based serializer this one
+// replaced: the file format must not move by a byte.
+TEST(CheckpointFormat, ServerAndV3BytesArePinned) {
+  auto model = train::BuildMlp(Spec(), 7);
+  FillDeterministic(model);
+  const std::string spath = TempPath("pin_server.sckpt");
+  nn::SaveServerCheckpoint(model, MakeServerState(), spath);
+  const std::string server = ReadFileBytes(spath);
+  EXPECT_EQ(server.size(), 1729u);
+  EXPECT_EQ(CrcBeforeTrailer(server), 0x6B571300u);
+
+  const std::string wpath = TempPath("pin_worker_v3.ckpt");
+  nn::SaveCheckpointWithState(model, MakeState(), wpath);
+  const std::string worker = ReadFileBytes(wpath);
+  EXPECT_EQ(worker.size(), 1667u);
+  EXPECT_EQ(CrcBeforeTrailer(worker), 0xA91840EEu);
+
+  // A reused serialization buffer writes the same bytes, whatever it
+  // held before.
+  util::ByteBuffer blob;
+  blob.Append(worker.data(), worker.size());
+  nn::SaveServerCheckpoint(model, MakeServerState(), spath, "store", nullptr,
+                           &blob);
+  EXPECT_EQ(ReadFileBytes(spath), server);
+
+  // So does a write_ps_state hook appending the ps_state bytes in place.
+  nn::ServerState hooked = MakeServerState();
+  const std::vector<std::uint8_t> ps_state = hooked.ps_state;
+  hooked.ps_state.clear();
+  hooked.write_ps_state = [&](util::ByteBuffer& out) {
+    out.Append(ps_state.data(), ps_state.size());
+  };
+  nn::SaveServerCheckpoint(model, hooked, spath, "store", nullptr, &blob);
+  EXPECT_EQ(ReadFileBytes(spath), server);
+  std::remove(spath.c_str());
+  std::remove(wpath.c_str());
+}
+
+// Offset of `needle` in `bytes` (which must contain it).
+std::size_t OffsetOf(const std::string& bytes, const std::string& needle) {
+  const std::size_t at = bytes.find(needle);
+  EXPECT_NE(at, std::string::npos);
+  return at;
+}
+
+void SetU32(std::string& bytes, std::size_t at, std::uint32_t v) {
+  std::memcpy(bytes.data() + at, &v, sizeof(v));
+}
+
+struct LengthField {
+  std::string name;
+  std::size_t offset;
+};
+
+// Every u32 length/count of a MakeServerState() file, located from known
+// bytes: the first tensor's name_len sits right after the tensor count.
+std::vector<LengthField> ServerLengthFields(const std::string& bytes) {
+  const std::size_t name_len = 12;
+  std::uint32_t name_bytes;
+  std::memcpy(&name_bytes, bytes.data() + name_len, sizeof(name_bytes));
+  const std::size_t ps_state =
+      OffsetOf(bytes, std::string("\x05\x00\x00\x00\xAA\xBB\xCC", 7));
+  const std::size_t workers = ps_state + 4 + 5;
+  const std::size_t replay = workers + 4 + 3 + 3;
+  const std::size_t frames = replay + 4 + 8;
+  return {{"name_len", name_len},
+          {"rank", name_len + 4 + name_bytes},
+          {"ps_state", ps_state},
+          {"worker count", workers},
+          {"replay count", replay},
+          {"frame count", frames},
+          {"frame size", frames + 4}};
+}
+
+// A length or count flipped to 0xFFFFFFFF must fail on the bytes that
+// remain, as a runtime_error naming the file, before anything is sized
+// by it (the CRC trailer is only checked after the body is parsed).
+TEST(CheckpointFormat, HugeLengthsFailWithThePath) {
+  auto model = train::BuildMlp(Spec(), 7);
+  const std::string spath = TempPath("huge_len.sckpt");
+  nn::SaveServerCheckpoint(model, MakeServerState(), spath);
+  const std::string server = ReadFileBytes(spath);
+  for (const LengthField& field : ServerLengthFields(server)) {
+    std::string corrupt = server;
+    SetU32(corrupt, field.offset, 0xFFFFFFFFu);
+    WriteFileBytes(spath, corrupt);
+    auto restored = train::BuildMlp(Spec(), 8);
+    nn::ServerState state;
+    try {
+      nn::LoadServerCheckpoint(restored, &state, spath);
+      ADD_FAILURE() << field.name << ": corrupt file loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(spath), std::string::npos)
+          << field.name << ": " << e.what();
+    }
+  }
+
+  const std::string wpath = TempPath("huge_len_v3.ckpt");
+  nn::SaveCheckpointWithState(model, MakeState(), wpath);
+  const std::string worker = ReadFileBytes(wpath);
+  const std::size_t codec_state =
+      OffsetOf(worker, std::string("\x05\x00\x00\x00\xDE\xAD\xBE\xEF", 8));
+  // name_len, codec_state and sampler_state (after the 5 codec bytes).
+  for (const std::size_t at : {std::size_t{12}, codec_state,
+                               codec_state + 4 + 5}) {
+    std::string corrupt = worker;
+    SetU32(corrupt, at, 0xFFFFFFFFu);
+    WriteFileBytes(wpath, corrupt);
+    auto restored = train::BuildMlp(Spec(), 8);
+    nn::TrainState state;
+    try {
+      nn::LoadCheckpointState(restored, &state, wpath);
+      ADD_FAILURE() << "offset " << at << ": corrupt file loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(wpath), std::string::npos)
+          << e.what();
+    }
+  }
+  std::remove(spath.c_str());
+  std::remove(wpath.c_str());
+}
+
+TEST(CheckpointManager, FallsBackPastHugeLengths) {
+  const std::string path = TempPath("mgr_huge_len.sckpt");
+  RemoveGenerations(path);
+  auto model = train::BuildMlp(Spec(), 7);
+  nn::CheckpointManager mgr({path, /*retain=*/2});
+  mgr.Save(model, NumberedState(0));
+  mgr.Save(model, NumberedState(1));
+  const std::string newest = mgr.GenerationPath(1);
+  const std::string pristine = ReadFileBytes(newest);
+  for (const LengthField& field : ServerLengthFields(pristine)) {
+    std::string corrupt = pristine;
+    SetU32(corrupt, field.offset, 0xFFFFFFFFu);
+    WriteFileBytes(newest, corrupt);
+    nn::CheckpointManager victim({path, /*retain=*/2});
+    auto restored = train::BuildMlp(Spec(), 8);
+    nn::ServerState state;
+    std::string error;
+    ASSERT_TRUE(victim.Load(restored, &state, &error))
+        << field.name << ": " << error;
+    EXPECT_EQ(state.epoch, 0u) << field.name;
+    EXPECT_EQ(victim.fallbacks(), 1) << field.name;
+  }
   RemoveGenerations(path);
 }
 

@@ -351,6 +351,8 @@ struct CodecCase {
   CodecConfig config;
 };
 
+void PrintTo(const CodecCase& c, std::ostream* os) { *os << c.label; }
+
 class CodecContract : public ::testing::TestWithParam<CodecCase> {};
 
 TEST_P(CodecContract, DecodeConsumesExactlyOnePayload) {
@@ -398,6 +400,43 @@ TEST_P(CodecContract, RepeatedEncodingNeverCorrupts) {
     Tensor out = RoundTrip(*codec, in, *ctx);
     EXPECT_TRUE(std::isfinite(tensor::Sum(out)));
   }
+}
+
+// Exact resume: a context's saved state, loaded into a fresh context,
+// continues the identical payload stream (residuals, accumulators and RNG
+// streams all carried across).
+TEST_P(CodecContract, SaveLoadStateResumesByteIdentically) {
+  auto codec = MakeCompressor(GetParam().config);
+  const Shape shape{200};
+  auto ctx = codec->MakeContext(shape);
+  util::ByteBuffer scratch;
+  for (int step = 0; step < 3; ++step) {
+    codec->Encode(RandomTensor(shape, 400 + step, 0.1f), *ctx, scratch);
+  }
+  util::ByteBuffer state;
+  ctx->SaveState(state);
+  auto resumed = codec->MakeContext(shape);
+  util::ByteReader reader(state);
+  resumed->LoadState(reader);
+  EXPECT_TRUE(reader.AtEnd());
+
+  const Tensor next = RandomTensor(shape, 403, 0.1f);
+  util::ByteBuffer want;
+  util::ByteBuffer got;
+  codec->Encode(next, *ctx, want);
+  codec->Encode(next, *resumed, got);
+  EXPECT_TRUE(want == got) << GetParam().label;
+}
+
+TEST_P(CodecContract, LoadStateRejectsAnotherShape) {
+  auto codec = MakeCompressor(GetParam().config);
+  auto ctx = codec->MakeContext(Shape{200});
+  util::ByteBuffer state;
+  ctx->SaveState(state);
+  if (ctx->StateBytes() == 0) return;  // no shaped state to disagree on
+  auto other = codec->MakeContext(Shape{100});
+  util::ByteReader reader(state);
+  EXPECT_THROW(other->LoadState(reader), std::runtime_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,7 @@
 // CRC32C (Castagnoli) tests: published known-answer vectors, the
-// incremental-extend convention, and alignment-independence of the
-// slice-by-4 fast path.
+// incremental-extend convention, alignment-independence, and bit-for-bit
+// agreement of the dispatched (hardware, where the CPU has it) path with
+// the slice-by-4 table path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -77,6 +78,35 @@ TEST(Crc32c, DetectsSingleBitFlips) {
           << "flip byte " << byte << " bit " << bit;
       data[byte] ^= static_cast<std::uint8_t>(1u << bit);
     }
+  }
+}
+
+// Every length 0..1024 at every alignment 0..7 covers the 8-byte loop, its
+// byte tail and every split between them.
+TEST(Crc32c, DispatchedPathMatchesTablePath) {
+  std::vector<std::uint8_t> backing(1024 + 8);
+  Rng rng(14);
+  for (auto& b : backing) b = static_cast<std::uint8_t>(rng.Next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 1024; ++n) {
+      const std::uint8_t* p = backing.data() + offset;
+      ASSERT_EQ(Crc32c(p, n), internal::Crc32cExtendTable(0, p, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32c, DispatchedExtendMatchesTableAtEverySplitPoint) {
+  std::vector<std::uint8_t> data(300);
+  Rng rng(15);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    const std::uint32_t head = Crc32c(data.data(), split);
+    ASSERT_EQ(head, internal::Crc32cExtendTable(0, data.data(), split));
+    const std::size_t rest = data.size() - split;
+    ASSERT_EQ(Crc32cExtend(head, data.data() + split, rest),
+              internal::Crc32cExtendTable(head, data.data() + split, rest))
+        << "split at " << split;
   }
 }
 
