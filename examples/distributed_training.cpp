@@ -238,12 +238,13 @@ bool ModelsBitwiseEqual(nn::Model& a, nn::Model& b) {
 // Per-worker fault-tolerance knobs, all defaulting to "behave like PR 3".
 struct WorkerChaos {
   std::int64_t exit_after_step = -1;  // simulate a crash after this step
-  std::string checkpoint_path;  // written at the crash / read on rejoin
-  bool rejoin = false;          // resume via REJOIN from checkpoint_path
+  // Resume checkpoint: written at the crash and on SIGTERM/SIGINT, read
+  // back on rejoin.
+  std::string checkpoint_path;
+  bool rejoin = false;  // resume via REJOIN from checkpoint_path
   int max_reconnects = 5;
   std::string inject_spec;
   std::uint64_t inject_seed = 0;
-  std::string stop_checkpoint_path;  // written on SIGTERM/SIGINT
   int lease_ms = 0;
   int heartbeat_ms = 0;
 };
@@ -254,16 +255,6 @@ int RunWorker(const Setup& setup, int worker_id, const std::string& host,
   const train::TrainerConfig& tc = setup.config.trainer;
   nn::Model model =
       train::BuildMlp(setup.config.model, setup.config.model_seed);
-
-  // A restarted worker resumes from the v3 checkpoint its previous life
-  // wrote at the simulated crash: model tensors first (before the
-  // ps::Worker caches parameter pointers), then the codec EA buffers and
-  // the sampler cursor once those objects exist.
-  nn::TrainState resume;
-  const bool resuming = chaos.rejoin && !chaos.checkpoint_path.empty();
-  if (resuming) {
-    nn::LoadCheckpointState(model, &resume, chaos.checkpoint_path);
-  }
 
   const ps::TensorPlan plan =
       ps::TensorPlan::FromParams(model.Params(), tc.min_compress_elems);
@@ -278,25 +269,6 @@ int RunWorker(const Setup& setup, int worker_id, const std::string& host,
   util::Rng rng = seeder.Fork();
   for (int i = 0; i < worker_id; ++i) rng = seeder.Fork();
   data::Sampler sampler(setup.data.train, rng, tc.augment_noise);
-
-  if (resuming) {
-    try {
-      util::ByteReader codec_reader(util::ByteSpan(
-          resume.codec_state.data(), resume.codec_state.size()));
-      ps_worker.LoadCodecState(codec_reader);
-      util::ByteReader sampler_reader(util::ByteSpan(
-          resume.sampler_state.data(), resume.sampler_state.size()));
-      sampler.LoadState(sampler_reader);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "worker %d: cannot resume from %s: %s\n",
-                   worker_id, chaos.checkpoint_path.c_str(), e.what());
-      return 1;
-    }
-    std::printf("worker %d: resuming from %s at step %llu\n", worker_id,
-                chaos.checkpoint_path.c_str(),
-                static_cast<unsigned long long>(resume.next_step));
-    std::fflush(stdout);
-  }
 
   rpc::FaultInjector injector(chaos.inject_seed);
   rpc::FaultInjector* fault = nullptr;
@@ -316,13 +288,11 @@ int RunWorker(const Setup& setup, int worker_id, const std::string& host,
   wc.worker_id = worker_id;
   wc.batch_size = tc.batch_size;
   wc.telemetry = telemetry;
-  wc.start_step = resuming ? static_cast<std::int64_t>(resume.next_step) : 0;
+  wc.checkpoint_path = chaos.checkpoint_path;
   wc.rejoin = chaos.rejoin;
   wc.max_reconnects = chaos.max_reconnects;
   wc.exit_after_step = chaos.exit_after_step;
-  wc.exit_checkpoint_path = chaos.checkpoint_path;
   wc.stop_flag = &g_stop;
-  wc.stop_checkpoint_path = chaos.stop_checkpoint_path;
   wc.fault = fault;
   wc.block_codec = setup.block_codec;
   wc.lease_ms = chaos.lease_ms;
@@ -571,18 +541,15 @@ int RunSpawn(const util::Flags& flags) {
     // Per-worker stream: the combined schedule is still a pure function of
     // --inject-seed, but workers don't mirror each other's faults.
     chaos.inject_seed = inject_seed + static_cast<std::uint64_t>(w);
-    if (kill_step >= 0 && w == kill_worker) {
-      chaos.checkpoint_path =
-          state_dir + "/dt_worker" + std::to_string(w) + ".ckpt";
-      if (!rejoin) chaos.exit_after_step = kill_step;  // crash only once
+    // Written by a simulated crash or a SIGTERM, read back on rejoin.
+    chaos.checkpoint_path =
+        state_dir + "/dt_worker" + std::to_string(w) + ".ckpt";
+    if (kill_step >= 0 && w == kill_worker && !rejoin) {
+      chaos.exit_after_step = kill_step;  // crash only once
     }
     chaos.rejoin = rejoin;
     chaos.lease_ms = lease_ms;
     chaos.heartbeat_ms = heartbeat_ms;
-    // A SIGTERM'd child leaves the same resumable v3 checkpoint a
-    // simulated crash would.
-    chaos.stop_checkpoint_path =
-        state_dir + "/dt_worker" + std::to_string(w) + ".ckpt";
     _exit(RunWorker(setup, w, host, bound_port, /*telemetry=*/nullptr,
                     chaos));
   };
@@ -937,16 +904,10 @@ int main(int argc, char** argv) {
                               flags.GetInt("inject-seed", 1)) +
                           static_cast<std::uint64_t>(worker_id);
       chaos.rejoin = flags.GetBool("rejoin", false);
-      const std::int64_t kill_step = flags.GetInt("kill-step", -1);
-      if (kill_step >= 0 || chaos.rejoin) {
-        chaos.checkpoint_path = flags.GetString("state-dir", ".") +
-                                "/dt_worker" + std::to_string(worker_id) +
-                                ".ckpt";
-        if (!chaos.rejoin) chaos.exit_after_step = kill_step;
-      }
-      chaos.stop_checkpoint_path = flags.GetString("state-dir", ".") +
-                                   "/dt_worker" + std::to_string(worker_id) +
-                                   ".ckpt";
+      chaos.checkpoint_path = flags.GetString("state-dir", ".") +
+                              "/dt_worker" + std::to_string(worker_id) +
+                              ".ckpt";
+      if (!chaos.rejoin) chaos.exit_after_step = flags.GetInt("kill-step", -1);
       chaos.lease_ms = static_cast<int>(flags.GetInt("lease-ms", 0));
       chaos.heartbeat_ms =
           static_cast<int>(flags.GetInt("heartbeat-ms", 0));

@@ -60,6 +60,21 @@ std::string DescribeWait(Connection::IoResult result, const Connection& conn) {
   return conn.last_error().empty() ? "I/O error" : conn.last_error();
 }
 
+// The HEARTBEAT beacon cadence, the same rule on both sides of the wire.
+int HeartbeatCadenceMs(int heartbeat_ms, int lease_ms) {
+  return heartbeat_ms > 0 ? heartbeat_ms : std::max(50, lease_ms / 4);
+}
+
+std::unique_ptr<nn::CheckpointManager> MakeCheckpointManager(
+    const RpcServerConfig& config, const std::string& path) {
+  nn::CheckpointManager::Options options;
+  options.path = path;
+  options.retain = config.checkpoint_retain;
+  options.block_codec = config.block_codec;
+  options.fs = config.fs;
+  return std::make_unique<nn::CheckpointManager>(std::move(options));
+}
+
 }  // namespace
 
 std::uint64_t PlanHash(const ps::TensorPlan& plan,
@@ -121,14 +136,12 @@ RpcServer::RpcServer(RpcServerConfig config, ps::ParameterServer& ps,
   bye_blobs_.assign(n, util::ByteBuffer{});
   barrier_arrival_ms_.assign(n, -1.0);
 
-  if (config_.telemetry != nullptr) {
-    if (obs::ClusterView* view = config_.telemetry->cluster_view()) {
-      // Uncompressed f32 traffic per worker per step, both directions —
-      // the denominator for /clusterz's per-direction compression ratios.
-      const auto raw = static_cast<std::uint64_t>(
-                           ps_->plan().TotalElements()) * sizeof(float);
-      view->SetRawBytesPerStep(raw, raw);
-    }
+  if (obs::ClusterView* view = cluster_view()) {
+    // Uncompressed f32 traffic per worker per step, both directions — the
+    // denominator for /clusterz's per-direction compression ratios.
+    const auto raw = static_cast<std::uint64_t>(
+                         ps_->plan().TotalElements()) * sizeof(float);
+    view->SetRawBytesPerStep(raw, raw);
   }
 
   tcp_.on_accept = [this](Connection& conn) {
@@ -144,6 +157,15 @@ RpcServer::RpcServer(RpcServerConfig config, ps::ParameterServer& ps,
 }
 
 RpcServer::~RpcServer() = default;
+
+obs::HealthMonitor* RpcServer::health() const {
+  return config_.telemetry != nullptr ? config_.telemetry->health() : nullptr;
+}
+
+obs::ClusterView* RpcServer::cluster_view() const {
+  return config_.telemetry != nullptr ? config_.telemetry->cluster_view()
+                                      : nullptr;
+}
 
 bool RpcServer::Listen(std::string* error) {
   return tcp_.Listen(config_.host, config_.port, error);
@@ -166,9 +188,8 @@ void RpcServer::Fail(const std::string& message) {
   failed_ = true;
   error_ = message;
   ReportFault(config_.telemetry, "rpc server", message);
-  if (config_.telemetry != nullptr && config_.telemetry->health() != nullptr) {
-    config_.telemetry->health()->SetRuntimeState(obs::RuntimeState::kFailed,
-                                                 message);
+  if (health() != nullptr) {
+    health()->SetRuntimeState(obs::RuntimeState::kFailed, message);
   }
   BroadcastError(message);
 }
@@ -253,14 +274,7 @@ void RpcServer::MarkWorkerDead(std::size_t w, const std::string& reason) {
     old->Close();
     worker_conns_[w] = nullptr;
   }
-  // Discard the dead worker's partial contribution to the step being
-  // collected; a rejoiner resends the whole step from its pending buffers.
-  if (current_step_ >= 0 && current_step_ < config_.total_steps) {
-    std::fill(push_seen_[w].begin(), push_seen_[w].end(), false);
-    stats_seen_[w] = false;
-    push_wire_bytes_[w] = 0;
-    barrier_arrival_ms_[w] = -1.0;  // the rejoiner re-arrives from scratch
-  }
+  ResetContribution(w);
   RecomputePending();
   RecordMembershipEvent("worker " + std::to_string(w) + " lost (" + reason +
                             "); holding barrier " +
@@ -285,18 +299,11 @@ void RpcServer::EvictExpired() {
   }
 }
 
-int RpcServer::EffectiveHeartbeatMs() const {
-  if (config_.heartbeat_ms > 0) return config_.heartbeat_ms;
-  return std::max(50, config_.lease_ms / 4);
-}
-
 void RpcServer::StampLiveness(std::size_t w) {
   if (config_.lease_ms <= 0) return;
   last_rx_[w] = std::chrono::steady_clock::now();
-  if (config_.telemetry != nullptr) {
-    if (obs::ClusterView* view = config_.telemetry->cluster_view()) {
-      view->RecordLiveness(static_cast<int>(w));
-    }
+  if (obs::ClusterView* view = cluster_view()) {
+    view->RecordLiveness(static_cast<int>(w));
   }
 }
 
@@ -313,33 +320,28 @@ void RpcServer::CheckLeases() {
     if (silent_ms < config_.lease_ms) continue;
     ++lease_expiries_;
     AddCounter(config_.telemetry, "rpc/lease_expiries", 1.0);
-    if (config_.telemetry != nullptr) {
-      if (obs::ClusterView* view = config_.telemetry->cluster_view()) {
-        view->RecordLeaseExpiry(static_cast<int>(w));
-      }
+    if (obs::ClusterView* view = cluster_view()) {
+      view->RecordLeaseExpiry(static_cast<int>(w));
     }
-    const std::string why = "lease expired (no frame for " +
-                            std::to_string(static_cast<int>(silent_ms)) +
-                            " ms, lease " + std::to_string(config_.lease_ms) +
-                            " ms; hung or partitioned)";
-    if (config_.grace_ms > 0) {
-      // MarkWorkerDead force-closes the half-open socket, so a SIGCONT'd
-      // worker's REJOIN takes the displacement path instead of colliding
-      // with its stale connection.
-      MarkWorkerDead(w, why);
-    } else {
-      Fail("worker " + std::to_string(w) + " " + why);
+    // In grace mode MarkWorkerDead force-closes the half-open socket, so a
+    // SIGCONT'd worker's REJOIN takes the displacement path instead of
+    // colliding with its stale connection.
+    if (!LoseWorker(w, "lease expired (no frame for " +
+                           std::to_string(static_cast<int>(silent_ms)) +
+                           " ms, lease " + std::to_string(config_.lease_ms) +
+                           " ms; hung or partitioned)")) {
       return;
     }
   }
 }
 
 void RpcServer::SendHeartbeats() {
-  if (config_.lease_ms <= 0 && config_.heartbeat_ms <= 0) return;
+  if (config_.lease_ms <= 0) return;
   const auto now = std::chrono::steady_clock::now();
   if (last_heartbeat_tx_ != std::chrono::steady_clock::time_point{} &&
       std::chrono::duration<double, std::milli>(now - last_heartbeat_tx_)
-              .count() < EffectiveHeartbeatMs()) {
+              .count() <
+          HeartbeatCadenceMs(config_.heartbeat_ms, config_.lease_ms)) {
     return;
   }
   last_heartbeat_tx_ = now;
@@ -356,26 +358,27 @@ void RpcServer::SendHeartbeats() {
     if (conn == nullptr || !conn->open()) continue;
     if (conn->SendFrame(MsgType::kHeartbeat, 0, 0, payload.span())) {
       AddCounter(config_.telemetry, "rpc/heartbeats_sent", 1.0);
-      continue;
-    }
-    const std::string why = "queueing HEARTBEAT: " + conn->last_error();
-    if (config_.grace_ms > 0) {
-      MarkWorkerDead(w, why);
-    } else {
-      Fail("worker " + std::to_string(w) + ": " + why);
+    } else if (!LoseWorker(w, "queueing HEARTBEAT: " + conn->last_error())) {
       return;
     }
   }
+}
+
+bool RpcServer::LoseWorker(std::size_t w, const std::string& why) {
+  if (config_.grace_ms > 0) {
+    MarkWorkerDead(w, why);
+    return true;
+  }
+  Fail("worker " + std::to_string(w) + ": " + why);
+  return false;
 }
 
 void RpcServer::Evict(std::size_t w, const std::string& reason) {
   member_state_[w] = Member::kEvicted;
   ++evictions_;
   AddCounter(config_.telemetry, "rpc/evictions", 1.0);
-  if (config_.telemetry != nullptr) {
-    if (obs::ClusterView* view = config_.telemetry->cluster_view()) {
-      view->RemoveWorker(static_cast<int>(w));
-    }
+  if (obs::ClusterView* view = cluster_view()) {
+    view->RemoveWorker(static_cast<int>(w));
   }
   // Tell the survivors which peer is gone (workers log it; supervisors can
   // react, e.g. by not restarting the process).
@@ -396,8 +399,8 @@ void RpcServer::Evict(std::size_t w, const std::string& reason) {
                             std::to_string(ActiveWorkers()) + " of " +
                             std::to_string(config_.num_workers) + " workers",
                         /*error=*/false);
-  if (config_.telemetry != nullptr && config_.telemetry->health() != nullptr) {
-    config_.telemetry->health()->SetRuntimeState(
+  if (health() != nullptr) {
+    health()->SetRuntimeState(
         obs::RuntimeState::kDegraded,
         "worker " + std::to_string(w) + " evicted; " +
             std::to_string(ActiveWorkers()) + " of " +
@@ -449,145 +452,95 @@ bool RpcServer::PollUntil(const std::function<bool()>& done, int timeout_ms,
   return false;
 }
 
-void RpcServer::HandleHello(Connection& conn, const Frame& frame) {
+void RpcServer::HandleJoin(Connection& conn, const Frame& frame,
+                           bool rejoin) {
+  const std::string kind = rejoin ? "REJOIN" : "HELLO";
   Peer& peer = peers_[&conn];
   if (peer.worker_id >= 0) {
-    Fail("duplicate HELLO from worker " + std::to_string(peer.worker_id));
-    return;
-  }
-  const HandshakePayload hello = DecodeHandshake(frame.payload.span(),
-                                                 /*rejoin=*/false);
-  const std::uint32_t worker_id = hello.worker_id;
-  if (worker_id >= static_cast<std::uint32_t>(config_.num_workers)) {
-    Fail("HELLO with out-of-range worker id " + std::to_string(worker_id) +
-         " (num_workers " + std::to_string(config_.num_workers) + ")");
-    return;
-  }
-  if (hello.epoch != 0) {
-    Fail("HELLO from worker " + std::to_string(worker_id) +
-         " carries server epoch " + std::to_string(hello.epoch) +
-         " (a fresh worker must send 0; one that saw an incarnation must "
-         "REJOIN)");
-    return;
-  }
-  if (worker_conns_[worker_id] != nullptr) {
-    Fail("second connection claiming worker id " + std::to_string(worker_id));
-    return;
-  }
-  if (greeted_[worker_id]) {
-    Fail("HELLO from already-greeted worker " + std::to_string(worker_id) +
-         " (a restarted worker must REJOIN)");
-    return;
-  }
-  if (hello.plan_hash != plan_hash_ || hello.codec != codec_name_) {
-    std::ostringstream oss;
-    oss << "handshake mismatch from worker " << worker_id << ": plan hash "
-        << std::hex << hello.plan_hash << " vs " << plan_hash_ << std::dec
-        << ", codec '" << hello.codec << "' vs '" << codec_name_ << "'";
-    Fail(oss.str());
-    return;
-  }
-  if (hello.block_codec != block_codec_->id()) {
-    Fail("handshake block-codec mismatch from worker " +
-         std::to_string(worker_id) + ": worker sent id " +
-         std::to_string(static_cast<int>(hello.block_codec)) +
-         ", server runs '" + std::string(block_codec_->name()) + "' (id " +
-         std::to_string(static_cast<int>(block_codec_->id())) + ")");
-    return;
-  }
-  peer.worker_id = static_cast<int>(worker_id);
-  worker_conns_[worker_id] = &conn;
-  member_state_[worker_id] = Member::kActive;
-  greeted_[worker_id] = true;
-  StampLiveness(worker_id);
-  ++handshakes_;
-
-  HandshakeAckPayload ack_payload;
-  ack_payload.num_workers = static_cast<std::uint32_t>(config_.num_workers);
-  ack_payload.total_steps = static_cast<std::uint64_t>(config_.total_steps);
-  ack_payload.plan_hash = plan_hash_;
-  ack_payload.block_codec = block_codec_->id();
-  ack_payload.epoch = epoch_;
-  util::ByteBuffer ack;
-  EncodeHandshakeAck(ack_payload, /*rejoin=*/false, ack);
-  if (!conn.SendFrame(MsgType::kHelloAck, 0, 0, ack.span())) {
-    Fail("sending HELLO_ACK to worker " + std::to_string(worker_id) + ": " +
-         conn.last_error());
-  }
-}
-
-void RpcServer::HandleRejoin(Connection& conn, const Frame& frame) {
-  Peer& peer = peers_[&conn];
-  if (peer.worker_id >= 0) {
-    Fail("REJOIN on an already-identified connection (worker " +
+    Fail(kind + " on an already-identified connection (worker " +
          std::to_string(peer.worker_id) + ")");
     return;
   }
-  const HandshakePayload rejoin = DecodeHandshake(frame.payload.span(),
-                                                  /*rejoin=*/true);
-  const std::uint32_t worker_id = rejoin.worker_id;
-  const auto next_step = static_cast<std::int64_t>(rejoin.next_step);
+  const HandshakePayload join = DecodeHandshake(frame.payload.span(), rejoin);
+  const std::uint32_t worker_id = join.worker_id;
+  const std::string from = kind + " from worker " + std::to_string(worker_id);
   if (worker_id >= static_cast<std::uint32_t>(config_.num_workers)) {
-    Fail("REJOIN with out-of-range worker id " + std::to_string(worker_id));
+    Fail(kind + " with out-of-range worker id " + std::to_string(worker_id) +
+         " (num_workers " + std::to_string(config_.num_workers) + ")");
     return;
   }
-  if (rejoin.plan_hash != plan_hash_ || rejoin.codec != codec_name_) {
+  if (join.plan_hash != plan_hash_ || join.codec != codec_name_) {
     std::ostringstream oss;
-    oss << "REJOIN handshake mismatch from worker " << worker_id
-        << ": plan hash " << std::hex << rejoin.plan_hash << " vs "
-        << plan_hash_ << std::dec << ", codec '" << rejoin.codec << "' vs '"
+    oss << kind << " handshake mismatch from worker " << worker_id
+        << ": plan hash " << std::hex << join.plan_hash << " vs "
+        << plan_hash_ << std::dec << ", codec '" << join.codec << "' vs '"
         << codec_name_ << "'";
     Fail(oss.str());
     return;
   }
-  if (rejoin.block_codec != block_codec_->id()) {
-    Fail("REJOIN block-codec mismatch from worker " +
+  if (join.block_codec != block_codec_->id()) {
+    Fail(kind + " handshake block-codec mismatch from worker " +
          std::to_string(worker_id) + ": worker sent id " +
-         std::to_string(static_cast<int>(rejoin.block_codec)) +
+         std::to_string(static_cast<int>(join.block_codec)) +
          ", server runs '" + std::string(block_codec_->name()) + "' (id " +
          std::to_string(static_cast<int>(block_codec_->id())) + ")");
     return;
   }
-  // A worker can only ever have seen an epoch this incarnation knows about
-  // (epoch_ never regresses: it is persisted before any handshake). A
-  // larger epoch means this server restored a checkpoint older than the
-  // incarnation the worker last spoke to — a broken deployment, not a
-  // recoverable race.
-  if (rejoin.epoch > epoch_) {
-    Fail("REJOIN from worker " + std::to_string(worker_id) +
-         " carries epoch " + std::to_string(rejoin.epoch) +
-         " ahead of this server's " + std::to_string(epoch_) +
-         " (stale server checkpoint restored?)");
-    return;
-  }
   const auto w = static_cast<std::size_t>(worker_id);
+  const auto next_step = static_cast<std::int64_t>(join.next_step);
 
-  // Reject (ERROR + close) without failing the run: the rejoiner is wrong
-  // or too late, but the surviving workers are fine.
-  auto reject = [&](const std::string& why) {
-    THREELC_LOG(Warn) << "rpc server: rejecting REJOIN from worker "
-                      << worker_id << ": " << why;
-    util::ByteSpan payload(
-        reinterpret_cast<const std::uint8_t*>(why.data()), why.size());
-    if (conn.SendFrame(MsgType::kError, 0, 0, payload)) {
-      conn.FlushOutput(/*timeout_ms=*/200);
+  if (!rejoin) {
+    if (join.epoch != 0) {
+      Fail(from + " carries server epoch " + std::to_string(join.epoch) +
+           " (a fresh worker must send 0; one that saw an incarnation must "
+           "REJOIN)");
+      return;
     }
-    peers_.erase(&conn);
-    conn.Close();  // reaped silently by TcpServer
-  };
-
-  if (member_state_[w] == Member::kEvicted) {
-    reject("worker " + std::to_string(worker_id) +
-           " was evicted; the run continues without it");
-    return;
-  }
-  if (next_step > current_step_) {
-    Fail("REJOIN from worker " + std::to_string(worker_id) +
-         " claims future step " + std::to_string(next_step) +
-         " (server is at " + std::to_string(current_step_) + ")");
-    return;
-  }
-  if (next_step < current_step_) {
+    if (worker_conns_[w] != nullptr) {
+      Fail("second connection claiming worker id " + std::to_string(w));
+      return;
+    }
+    if (greeted_[w]) {
+      Fail(from + ": already greeted (a restarted worker must REJOIN)");
+      return;
+    }
+  } else {
+    // Reject (ERROR + close) without failing the run: the rejoiner is
+    // wrong or too late, but the surviving workers are fine.
+    auto reject = [&](const std::string& why) {
+      THREELC_LOG(Warn) << "rpc server: rejecting REJOIN from worker "
+                        << worker_id << ": " << why;
+      util::ByteSpan payload(
+          reinterpret_cast<const std::uint8_t*>(why.data()), why.size());
+      if (conn.SendFrame(MsgType::kError, 0, 0, payload)) {
+        conn.FlushOutput(/*timeout_ms=*/200);
+      }
+      peers_.erase(&conn);
+      conn.Close();  // reaped silently by TcpServer
+    };
+    // A worker can only ever have seen an epoch this incarnation knows
+    // about (epoch_ never regresses: it is persisted before any
+    // handshake). A larger epoch means this server restored a checkpoint
+    // older than the incarnation the worker last spoke to — a broken
+    // deployment, not a recoverable race.
+    if (join.epoch > epoch_) {
+      Fail(from + " carries epoch " + std::to_string(join.epoch) +
+           " ahead of this server's " + std::to_string(epoch_) +
+           " (stale server checkpoint restored?)");
+      return;
+    }
+    if (member_state_[w] == Member::kEvicted) {
+      reject("worker " + std::to_string(w) +
+             " was evicted; the run continues without it");
+      return;
+    }
+    if (next_step > current_step_) {
+      Fail(from + " claims future step " + std::to_string(next_step) +
+           " (server is at " + std::to_string(current_step_) + ")");
+      return;
+    }
+    // Every retained step is below current_step_, so a rejoiner already
+    // at current_step_ always passes.
     const std::int64_t oldest =
         replay_.empty() ? current_step_ : replay_.front().first;
     if (next_step < oldest) {
@@ -597,14 +550,11 @@ void RpcServer::HandleRejoin(Connection& conn, const Frame& frame) {
              std::to_string(config_.replay_steps) + ")");
       return;
     }
-  }
-
-  // Displace a half-open previous connection for this id, if any.
-  if (Connection* old = worker_conns_[w];
-      old != nullptr && old != &conn) {
-    peers_.erase(old);
-    old->Close();
-    worker_conns_[w] = nullptr;
+    // Displace a half-open previous connection for this id, if any.
+    if (Connection* old = worker_conns_[w]; old != nullptr) {
+      peers_.erase(old);
+      old->Close();
+    }
   }
 
   peer.worker_id = static_cast<int>(worker_id);
@@ -615,8 +565,6 @@ void RpcServer::HandleRejoin(Connection& conn, const Frame& frame) {
     greeted_[w] = true;
     ++handshakes_;
   }
-  ++rejoins_;
-  AddCounter(config_.telemetry, "rpc/rejoins", 1.0);
 
   HandshakeAckPayload ack_payload;
   ack_payload.num_workers = static_cast<std::uint32_t>(config_.num_workers);
@@ -626,12 +574,16 @@ void RpcServer::HandleRejoin(Connection& conn, const Frame& frame) {
   ack_payload.epoch = epoch_;
   ack_payload.collect_step = static_cast<std::uint64_t>(current_step_);
   util::ByteBuffer ack;
-  EncodeHandshakeAck(ack_payload, /*rejoin=*/true, ack);
-  if (!conn.SendFrame(MsgType::kRejoinAck, 0, 0, ack.span())) {
-    Fail("sending REJOIN_ACK to worker " + std::to_string(worker_id) + ": " +
+  EncodeHandshakeAck(ack_payload, rejoin, ack);
+  if (!conn.SendFrame(rejoin ? MsgType::kRejoinAck : MsgType::kHelloAck, 0, 0,
+                      ack.span())) {
+    Fail("sending " + kind + "_ACK to worker " + std::to_string(w) + ": " +
          conn.last_error());
     return;
   }
+  if (!rejoin) return;
+  ++rejoins_;
+  AddCounter(config_.telemetry, "rpc/rejoins", 1.0);
 
   // Replay the shared pull bytes for every completed step the worker
   // missed, verbatim — the worker recomputes its own pushes (bitwise
@@ -643,7 +595,7 @@ void RpcServer::HandleRejoin(Connection& conn, const Frame& frame) {
     for (const util::ByteBuffer& bytes : tensors) {
       if (!conn.SendEncoded(bytes.span(), 1)) {
         Fail("replaying step " + std::to_string(step) + " to worker " +
-             std::to_string(worker_id) + ": " + conn.last_error());
+             std::to_string(w) + ": " + conn.last_error());
         return;
       }
       ++frames;
@@ -656,15 +608,10 @@ void RpcServer::HandleRejoin(Connection& conn, const Frame& frame) {
   }
 
   // Expect a fresh contribution to the step being collected.
-  if (current_step_ >= 0 && current_step_ < config_.total_steps) {
-    std::fill(push_seen_[w].begin(), push_seen_[w].end(), false);
-    stats_seen_[w] = false;
-    push_wire_bytes_[w] = 0;
-    barrier_arrival_ms_[w] = -1.0;
-  }
+  ResetContribution(w);
   RecomputePending();
   RecordMembershipEvent(
-      "worker " + std::to_string(worker_id) + " rejoined at step " +
+      "worker " + std::to_string(w) + " rejoined at step " +
           std::to_string(current_step_) + " (resumed from step " +
           std::to_string(next_step) + ", replayed " + std::to_string(frames) +
           " pull frames)",
@@ -682,11 +629,9 @@ void RpcServer::MaybeReassembled() {
                         /*error=*/false);
   // A storage degradation (checkpoint writes failing) outlives the
   // re-assembly: only a successful write clears it.
-  if (config_.telemetry != nullptr && config_.telemetry->health() != nullptr &&
-      !ckpt_degraded_) {
-    config_.telemetry->health()->SetRuntimeState(
-        obs::RuntimeState::kHealthy,
-        "all workers rejoined after server restart");
+  if (health() != nullptr && !ckpt_degraded_) {
+    health()->SetRuntimeState(obs::RuntimeState::kHealthy,
+                              "all workers rejoined after server restart");
   }
 }
 
@@ -694,12 +639,8 @@ void RpcServer::OnFrame(Connection& conn, Frame&& frame) {
   if (failed_) return;
   const FrameHeader& h = frame.header;
   try {
-    if (h.type == MsgType::kHello) {
-      HandleHello(conn, frame);
-      return;
-    }
-    if (h.type == MsgType::kRejoin) {
-      HandleRejoin(conn, frame);
+    if (h.type == MsgType::kHello || h.type == MsgType::kRejoin) {
+      HandleJoin(conn, frame, h.type == MsgType::kRejoin);
       return;
     }
     if (h.type == MsgType::kError) {
@@ -753,13 +694,10 @@ void RpcServer::OnFrame(Connection& conn, Frame&& frame) {
                                  "block_decode");
           util::ByteBuffer decoded;
           blockcodec::DecodeBlock(payload.span(), kMaxPayloadBytes, decoded);
-          if (config_.telemetry != nullptr) {
-            auto& m = config_.telemetry->metrics();
-            m.counter("block/decode_bytes_in")
-                ->Add(static_cast<double>(payload.size()));
-            m.counter("block/decode_bytes_out")
-                ->Add(static_cast<double>(decoded.size()));
-          }
+          AddCounter(config_.telemetry, "block/decode_bytes_in",
+                     static_cast<double>(payload.size()));
+          AddCounter(config_.telemetry, "block/decode_bytes_out",
+                     static_cast<double>(decoded.size()));
           payload = std::move(decoded);
         }
         push_payloads_[w][h.tensor] = std::move(payload);
@@ -789,23 +727,21 @@ void RpcServer::OnFrame(Connection& conn, Frame&& frame) {
         // record is a protocol fault — but feed only an attached view.
         // Duplicates from rejoin replay are deduped inside ClusterView.
         const TelemetryPayload p = DecodeTelemetry(frame.payload.span());
-        if (config_.telemetry != nullptr) {
-          if (obs::ClusterView* view = config_.telemetry->cluster_view()) {
-            obs::WorkerStepRecord rec;
-            rec.step = h.step;
-            rec.forward_backward_ns = p.forward_backward_ns;
-            rec.encode_ns = p.encode_ns;
-            rec.push_ns = p.push_ns;
-            rec.pull_wait_ns = p.pull_wait_ns;
-            rec.decode_ns = p.decode_ns;
-            rec.bytes_out = p.bytes_out;
-            rec.bytes_in = p.bytes_in;
-            rec.stage1_bytes_out = p.stage1_bytes_out;
-            rec.stage1_bytes_in = p.stage1_bytes_in;
-            rec.ea_l2 = p.ea_l2;
-            rec.rejoins = p.rejoins;
-            view->Ingest(static_cast<int>(w), rec);
-          }
+        if (obs::ClusterView* view = cluster_view()) {
+          obs::WorkerStepRecord rec;
+          rec.step = h.step;
+          rec.forward_backward_ns = p.forward_backward_ns;
+          rec.encode_ns = p.encode_ns;
+          rec.push_ns = p.push_ns;
+          rec.pull_wait_ns = p.pull_wait_ns;
+          rec.decode_ns = p.decode_ns;
+          rec.bytes_out = p.bytes_out;
+          rec.bytes_in = p.bytes_in;
+          rec.stage1_bytes_out = p.stage1_bytes_out;
+          rec.stage1_bytes_in = p.stage1_bytes_in;
+          rec.ea_l2 = p.ea_l2;
+          rec.rejoins = p.rejoins;
+          view->Ingest(static_cast<int>(w), rec);
         }
         return;
       }
@@ -866,19 +802,17 @@ void RpcServer::OnDisconnect(Connection& conn, const std::string& reason) {
 }
 
 void RpcServer::BeginCollect(std::int64_t step) {
-  current_step_ = step;
-  if (step >= config_.total_steps) {  // only BYE is valid now
-    frames_pending_ = 0;
-    return;
-  }
-  for (std::size_t w = 0; w < push_seen_.size(); ++w) {
-    std::fill(push_seen_[w].begin(), push_seen_[w].end(), false);
-    stats_seen_[w] = false;
-    push_wire_bytes_[w] = 0;
-  }
-  std::fill(barrier_arrival_ms_.begin(), barrier_arrival_ms_.end(), -1.0);
+  current_step_ = step;  // past total_steps only BYE is valid (0 pending)
+  for (std::size_t w = 0; w < push_seen_.size(); ++w) ResetContribution(w);
   collect_timer_.Reset();
   RecomputePending();
+}
+
+void RpcServer::ResetContribution(std::size_t w) {
+  std::fill(push_seen_[w].begin(), push_seen_[w].end(), false);
+  stats_seen_[w] = false;
+  push_wire_bytes_[w] = 0;
+  barrier_arrival_ms_[w] = -1.0;
 }
 
 void RpcServer::StampBarrierArrival(std::size_t w) {
@@ -933,24 +867,21 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
   // read before BeginCollect(step + 1) wipes the arrival stamps. The
   // cause lands when the straggler's TELEMETRY record for this step
   // arrives (after its pulls drain).
-  if (config_.telemetry != nullptr) {
-    if (obs::ClusterView* view = config_.telemetry->cluster_view()) {
-      double first = -1.0, last = -1.0;
-      int last_worker = -1;
-      for (std::size_t w : contributors) {
-        const double arrival = barrier_arrival_ms_[w];
-        if (arrival < 0.0) continue;  // rejoined mid-step; stamp lost
-        if (first < 0.0 || arrival < first) first = arrival;
-        if (arrival > last) {
-          last = arrival;
-          last_worker = static_cast<int>(w);
-        }
+  if (obs::ClusterView* view = cluster_view()) {
+    double first = -1.0, last = -1.0;
+    int last_worker = -1;
+    for (std::size_t w : contributors) {
+      const double arrival = barrier_arrival_ms_[w];
+      if (arrival < 0.0) continue;  // rejoined mid-step; stamp lost
+      if (first < 0.0 || arrival < first) first = arrival;
+      if (arrival > last) {
+        last = arrival;
+        last_worker = static_cast<int>(w);
       }
-      if (last_worker >= 0) {
-        view->RecordBarrier(static_cast<std::uint64_t>(step), last_worker,
-                            last - first,
-                            static_cast<int>(num_contributors));
-      }
+    }
+    if (last_worker >= 0) {
+      view->RecordBarrier(static_cast<std::uint64_t>(step), last_worker,
+                          last - first, static_cast<int>(num_contributors));
     }
   }
 
@@ -1072,15 +1003,11 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
                          std::to_string(step) + " pulls");
           return false;
         }
-        const std::string why =
-            "queueing PULL to worker " + std::to_string(w) + ": " +
-            (conn != nullptr ? conn->last_error() : "connection gone");
-        if (config_.grace_ms > 0) {
-          MarkWorkerDead(w, why);
-          continue;
+        if (!LoseWorker(w, "queueing PULL: " + (conn != nullptr
+                                                     ? conn->last_error()
+                                                     : "connection gone"))) {
+          return false;
         }
-        Fail(why);
-        return false;
       }
     }
     if (max_replay == 0) replay_.clear();
@@ -1203,12 +1130,7 @@ bool RpcServer::ApplyWorkerBuffers() {
 
 nn::CheckpointManager& RpcServer::Checkpointer() {
   if (ckpt_ == nullptr) {
-    nn::CheckpointManager::Options options;
-    options.path = config_.checkpoint_path;
-    options.retain = config_.checkpoint_retain;
-    options.block_codec = config_.block_codec;
-    options.fs = config_.fs;
-    ckpt_ = std::make_unique<nn::CheckpointManager>(std::move(options));
+    ckpt_ = MakeCheckpointManager(config_, config_.checkpoint_path);
     const int swept = ckpt_->ScanAndSweep();
     if (swept > 0) {
       THREELC_LOG(Warn) << "rpc server: swept " << swept
@@ -1225,7 +1147,7 @@ void RpcServer::PublishStorageHealth() {
     config_.telemetry->metrics().gauge("ckpt/generations")
         ->Set(static_cast<double>(ckpt_->generation_count()));
   }
-  if (obs::ClusterView* view = config_.telemetry->cluster_view()) {
+  if (obs::ClusterView* view = cluster_view()) {
     obs::ClusterView::StorageHealth health;
     health.checkpoints = ckpt_writes_;
     health.write_failures = ckpt_write_failures_;
@@ -1271,10 +1193,9 @@ void RpcServer::NoteCheckpointSuccess(double write_ms) {
     for (Member m : member_state_) {
       if (m == Member::kEvicted) otherwise_degraded = true;
     }
-    if (!otherwise_degraded && config_.telemetry != nullptr &&
-        config_.telemetry->health() != nullptr) {
-      config_.telemetry->health()->SetRuntimeState(
-          obs::RuntimeState::kHealthy, "checkpoint writes recovered");
+    if (!otherwise_degraded && health() != nullptr) {
+      health()->SetRuntimeState(obs::RuntimeState::kHealthy,
+                                "checkpoint writes recovered");
     }
   }
   PublishStorageHealth();
@@ -1352,9 +1273,8 @@ bool RpcServer::WriteCheckpoint(std::int64_t next_step, bool force) {
                             : "no durable checkpoint") +
             "): " + last_error,
         /*error=*/true);
-    if (config_.telemetry != nullptr &&
-        config_.telemetry->health() != nullptr) {
-      config_.telemetry->health()->SetRuntimeState(
+    if (health() != nullptr) {
+      health()->SetRuntimeState(
           obs::RuntimeState::kDegraded,
           "checkpoint write failing; recovery at risk: " + last_error);
     }
@@ -1382,12 +1302,7 @@ bool RpcServer::ResumeFromCheckpoint(const std::string& path,
   if (!config_.checkpoint_path.empty() && path == config_.checkpoint_path) {
     manager = &Checkpointer();
   } else {
-    nn::CheckpointManager::Options options;
-    options.path = path;
-    options.retain = config_.checkpoint_retain;
-    options.block_codec = config_.block_codec;
-    options.fs = config_.fs;
-    scratch = std::make_unique<nn::CheckpointManager>(std::move(options));
+    scratch = MakeCheckpointManager(config_, path);
     manager = scratch.get();
   }
 
@@ -1543,13 +1458,11 @@ bool RpcServer::Run() {
             std::to_string(epoch_) + "); awaiting " +
             std::to_string(returning) + " worker rejoin(s)",
         /*error=*/false);
-    if (config_.telemetry != nullptr &&
-        config_.telemetry->health() != nullptr) {
-      config_.telemetry->health()->SetRuntimeState(
+    if (health() != nullptr) {
+      health()->SetRuntimeState(
           obs::RuntimeState::kDegraded,
-          "server resumed (epoch " + std::to_string(epoch_) +
-              "); awaiting " + std::to_string(returning) +
-              " worker rejoin(s)");
+          "server resumed (epoch " + std::to_string(epoch_) + "); awaiting " +
+              std::to_string(returning) + " worker rejoin(s)");
     }
   }
 
@@ -1672,9 +1585,7 @@ RpcWorker::RpcWorker(RpcWorkerConfig config, ps::Worker& worker,
       sampler_(std::move(sampler)),
       metrics_(config_.telemetry != nullptr
                    ? TransportMetrics::RegisterIn(config_.telemetry->metrics())
-                   : TransportMetrics{}),
-      next_apply_(config_.start_step),
-      computed_through_(config_.start_step - 1) {
+                   : TransportMetrics{}) {
   THREELC_CHECK_MSG(block_codec_ != nullptr,
                     "unknown block codec '" << config_.block_codec
                                             << "' (known: "
@@ -1692,6 +1603,14 @@ bool RpcWorker::Fail(const std::string& message) {
   return false;
 }
 
+bool RpcWorker::Flush(Connection& conn) {
+  const Connection::IoResult r = conn.FlushOutput(config_.io_timeout_ms);
+  if (r == Connection::IoResult::kTimeout && metrics_.timeouts != nullptr) {
+    metrics_.timeouts->Add(1.0);
+  }
+  return r == Connection::IoResult::kOk;
+}
+
 Connection::IoResult RpcWorker::WaitDataFrame(Connection& conn, Frame* frame,
                                               int timeout_ms) {
   // With leases off (lease_ms == 0) each data frame is one blocking
@@ -1702,9 +1621,7 @@ Connection::IoResult RpcWorker::WaitDataFrame(Connection& conn, Frame* frame,
   // bound that keeps a hung or one-way-partitioned server from costing
   // the full timeout_ms.
   const bool lease_on = config_.lease_ms > 0;
-  const int cadence = config_.heartbeat_ms > 0
-                          ? config_.heartbeat_ms
-                          : std::max(50, config_.lease_ms / 4);
+  const int cadence = HeartbeatCadenceMs(config_.heartbeat_ms, config_.lease_ms);
   util::WallTimer total_timer;
   util::WallTimer silence_timer;
   double next_beat_ms = 0.0;  // beacon immediately on entering the wait
@@ -1713,7 +1630,7 @@ Connection::IoResult RpcWorker::WaitDataFrame(Connection& conn, Frame* frame,
         timeout_ms - static_cast<int>(total_timer.ElapsedMillis());
     if (remaining <= 0) {
       if (metrics_.timeouts != nullptr) metrics_.timeouts->Add(1.0);
-      return Connection::IoResult::kError;
+      return Connection::IoResult::kTimeout;
     }
     int slice = remaining;
     if (lease_on) {
@@ -1749,141 +1666,87 @@ Connection::IoResult RpcWorker::WaitDataFrame(Connection& conn, Frame* frame,
       slice = std::max(slice, 1);
     }
     const Connection::IoResult r = conn.WaitFrame(frame, slice);
-    if (r == Connection::IoResult::kOk) {
-      silence_timer.Reset();
-      if (frame->header.type == MsgType::kHeartbeat) {
-        // Server liveness beacon; the silence reset above is its payload.
+    // A slice that ran out is the lease/beacon clock ticking; the deadline
+    // check above decides whether the wait as a whole timed out.
+    if (r == Connection::IoResult::kTimeout) continue;
+    if (r != Connection::IoResult::kOk) return r;
+    silence_timer.Reset();
+    const MsgType type = frame->header.type;
+    if (type != MsgType::kHeartbeat && type != MsgType::kEvict) return r;
+    // Liveness beacon (the silence reset above is its payload) or
+    // membership news about another worker; decoded as strictly as the
+    // server decodes its inbound frames.
+    try {
+      if (type == MsgType::kHeartbeat) {
+        DecodeHeartbeat(frame->payload.span());
         AddCounter(config_.telemetry, "rpc/heartbeats_received", 1.0);
-        continue;
-      }
-      if (frame->header.type == MsgType::kEvict) {
-        // Membership news about another worker; informational here.
-        std::uint32_t evicted = 0xFFFFFFFFu;
-        try {
-          util::ByteReader reader(frame->payload);
-          evicted = reader.ReadU32();
-        } catch (...) {
-        }
+      } else {
+        util::ByteReader reader(frame->payload);
+        const std::uint32_t evicted = reader.ReadU32();
+        if (!reader.AtEnd()) throw std::runtime_error("trailing bytes");
         THREELC_LOG(Warn) << "rpc worker " << config_.worker_id
                           << ": server evicted worker " << evicted;
-        continue;
       }
-      return r;
+    } catch (const std::exception& e) {
+      Fail(std::string("malformed ") + MsgTypeName(type) + " payload: " +
+           e.what());
+      return Connection::IoResult::kError;
     }
-    if (r == Connection::IoResult::kClosed) return r;
-    // kError: a slice that merely timed out (transport.cc's WaitFrame
-    // message, verbatim) is the lease/beacon clock ticking, not a fault.
-    if (lease_on && conn.last_error() == "timed out waiting for a frame") {
-      continue;
-    }
-    return r;
   }
 }
 
-bool RpcWorker::Handshake(Connection& conn) {
+bool RpcWorker::Handshake(Connection& conn, bool rejoin,
+                          std::int64_t* collect_step) {
+  const std::string kind = rejoin ? "REJOIN" : "HELLO";
   HandshakePayload payload;
   payload.worker_id = static_cast<std::uint32_t>(config_.worker_id);
   payload.plan_hash = PlanHash(*plan_, codec_name_);
   payload.codec = codec_name_;
   payload.block_codec = block_codec_->id();
-  payload.epoch = 0;  // fresh worker: no incarnation seen yet
-  util::ByteBuffer hello;
-  EncodeHandshake(payload, /*rejoin=*/false, hello);
-  if (!conn.SendFrame(MsgType::kHello, 0, 0, hello.span())) {
-    return Fail("sending HELLO: " + conn.last_error());
-  }
-  if (conn.FlushOutput(config_.io_timeout_ms) != Connection::IoResult::kOk) {
-    return Fail("flushing HELLO: " + DescribeWait(Connection::IoResult::kError,
-                                                  conn));
-  }
-  Frame ack;
-  const Connection::IoResult r =
-      WaitDataFrame(conn, &ack, config_.handshake_timeout_ms);
-  if (r != Connection::IoResult::kOk) {
-    return Fail("waiting for HELLO_ACK: " + DescribeWait(r, conn));
-  }
-  if (ack.header.type == MsgType::kError) {
-    return Fail("server rejected handshake: " + PayloadString(ack));
-  }
-  if (ack.header.type != MsgType::kHelloAck) {
-    return Fail(std::string("expected HELLO_ACK, got ") +
-                MsgTypeName(ack.header.type));
-  }
-  try {
-    const HandshakeAckPayload ackp =
-        DecodeHandshakeAck(ack.payload.span(), /*rejoin=*/false);
-    num_workers_ = static_cast<int>(ackp.num_workers);
-    total_steps_ = static_cast<std::int64_t>(ackp.total_steps);
-    if (ackp.plan_hash != PlanHash(*plan_, codec_name_)) {
-      return Fail("HELLO_ACK plan hash mismatch");
-    }
-    if (ackp.block_codec != block_codec_->id()) {
-      return Fail("HELLO_ACK block-codec mismatch: server negotiated id " +
-                  std::to_string(static_cast<int>(ackp.block_codec)) +
-                  ", worker runs '" + std::string(block_codec_->name()) +
-                  "' (id " + std::to_string(static_cast<int>(
-                                 block_codec_->id())) + ")");
-    }
-    if (ackp.epoch == 0) {
-      return Fail("HELLO_ACK carries epoch 0 (every server incarnation is "
-                  "numbered from 1)");
-    }
-    server_epoch_ = ackp.epoch;
-  } catch (const std::exception& e) {
-    return Fail(std::string("malformed HELLO_ACK: ") + e.what());
-  }
-  return true;
-}
-
-bool RpcWorker::RejoinHandshake(Connection& conn,
-                                std::int64_t* collect_step) {
-  HandshakePayload payload;
-  payload.worker_id = static_cast<std::uint32_t>(config_.worker_id);
-  payload.plan_hash = PlanHash(*plan_, codec_name_);
-  payload.codec = codec_name_;
-  payload.block_codec = block_codec_->id();
-  // 0 when this process restarted from a checkpoint and never completed a
-  // handshake; the server accepts any epoch <= its own.
+  // The last incarnation seen: 0 for a fresh HELLO, and for a REJOIN from a
+  // process that restarted from its checkpoint and never completed a
+  // handshake (the server accepts any epoch <= its own).
   payload.epoch = server_epoch_;
   payload.next_step = static_cast<std::uint64_t>(next_apply_);
-  util::ByteBuffer rejoin;
-  EncodeHandshake(payload, /*rejoin=*/true, rejoin);
-  if (!conn.SendFrame(MsgType::kRejoin, 0, 0, rejoin.span())) {
-    return Fail("sending REJOIN: " + conn.last_error());
+  util::ByteBuffer hello;
+  EncodeHandshake(payload, rejoin, hello);
+  if (!conn.SendFrame(rejoin ? MsgType::kRejoin : MsgType::kHello, 0, 0,
+                      hello.span())) {
+    return Fail("sending " + kind + ": " + conn.last_error());
   }
-  if (conn.FlushOutput(config_.io_timeout_ms) != Connection::IoResult::kOk) {
-    return Fail("flushing REJOIN: " + conn.last_error());
-  }
+  if (!Flush(conn)) return Fail("flushing " + kind + ": " + conn.last_error());
+  const std::string ack_name = kind + "_ACK";
   Frame ack;
   const Connection::IoResult r =
       WaitDataFrame(conn, &ack, config_.handshake_timeout_ms);
   if (r != Connection::IoResult::kOk) {
-    return Fail("waiting for REJOIN_ACK: " + DescribeWait(r, conn));
+    return Fail("waiting for " + ack_name + ": " + DescribeWait(r, conn));
   }
   if (ack.header.type == MsgType::kError) {
-    return Fail("server rejected rejoin: " + PayloadString(ack));
+    return Fail("server rejected " + std::string(rejoin ? "rejoin" : "handshake") +
+                ": " + PayloadString(ack));
   }
-  if (ack.header.type != MsgType::kRejoinAck) {
-    return Fail(std::string("expected REJOIN_ACK, got ") +
+  if (ack.header.type != (rejoin ? MsgType::kRejoinAck : MsgType::kHelloAck)) {
+    return Fail("expected " + ack_name + ", got " +
                 MsgTypeName(ack.header.type));
   }
   try {
     const HandshakeAckPayload ackp =
-        DecodeHandshakeAck(ack.payload.span(), /*rejoin=*/true);
+        DecodeHandshakeAck(ack.payload.span(), rejoin);
     num_workers_ = static_cast<int>(ackp.num_workers);
     total_steps_ = static_cast<std::int64_t>(ackp.total_steps);
     if (ackp.plan_hash != PlanHash(*plan_, codec_name_)) {
-      return Fail("REJOIN_ACK plan hash mismatch");
+      return Fail(ack_name + " plan hash mismatch");
     }
     if (ackp.block_codec != block_codec_->id()) {
-      return Fail("REJOIN_ACK block-codec mismatch: server negotiated id " +
+      return Fail(ack_name + " block-codec mismatch: server negotiated id " +
                   std::to_string(static_cast<int>(ackp.block_codec)) +
                   ", worker runs '" + std::string(block_codec_->name()) +
                   "' (id " + std::to_string(static_cast<int>(
                                  block_codec_->id())) + ")");
     }
     if (ackp.epoch == 0) {
-      return Fail("REJOIN_ACK carries epoch 0 (every server incarnation is "
+      return Fail(ack_name + " carries epoch 0 (every server incarnation is "
                   "numbered from 1)");
     }
     if (server_epoch_ != 0 && ackp.epoch < server_epoch_) {
@@ -1900,10 +1763,11 @@ bool RpcWorker::RejoinHandshake(Connection& conn,
                         << "); re-synced via rejoin";
     }
     server_epoch_ = ackp.epoch;
-    *collect_step = static_cast<std::int64_t>(ackp.collect_step);
+    if (rejoin) *collect_step = static_cast<std::int64_t>(ackp.collect_step);
   } catch (const std::exception& e) {
-    return Fail(std::string("malformed REJOIN_ACK: ") + e.what());
+    return Fail("malformed " + ack_name + ": " + e.what());
   }
+  if (!rejoin) return true;
   if (*collect_step < next_apply_) {
     return Fail("REJOIN_ACK collect step " + std::to_string(*collect_step) +
                 " behind worker resume step " + std::to_string(next_apply_));
@@ -1978,59 +1842,78 @@ bool RpcWorker::UnwrapPull(std::size_t t, util::ByteBuffer& payload) {
   return true;
 }
 
-RpcWorker::StepStatus RpcWorker::ReplayTo(std::int64_t collect_step) {
+RpcWorker::StepStatus RpcWorker::ReceivePulls(std::int64_t step, bool live) {
+  // A replayed step feeds no profiler stage, span or TELEMETRY record.
+  obs::StageProfiler* prof = live ? &obs::StageProfiler::Global() : nullptr;
+  const obs::SpanTarget span = live ? StepSpan(step) : obs::SpanTarget{};
+  TelemetryPayload replayed;
+  TelemetryPayload& record = live ? pending_telemetry_ : replayed;
   const std::size_t num_tensors = plan_->size();
-  for (std::int64_t r = next_apply_; r < collect_step; ++r) {
-    // Advance the local state machine exactly as the original pass did:
-    // sample the batch, run forward/backward, and encode the pushes (which
-    // moves the EA buffers) — then discard the sends, since the server
-    // already aggregated bitwise-identical bytes.
-    if (computed_through_ < r) ComputeStep(r);
-    std::vector<util::ByteBuffer> pulls(num_tensors);
+  std::vector<util::ByteBuffer> pulls(num_tensors);
+  {
+    obs::ScopedStage stage(prof, "pull_wait", &record.pull_wait_ns, span);
     for (std::size_t t = 0; t < num_tensors; ++t) {
       Frame frame;
-      const Connection::IoResult io =
+      const Connection::IoResult r =
           WaitDataFrame(*conn_, &frame, config_.pull_timeout_ms);
-      if (io != Connection::IoResult::kOk) {
+      if (failed_) return StepStatus::kFailed;
+      if (r != Connection::IoResult::kOk) {
         THREELC_LOG(Warn) << "rpc worker " << config_.worker_id
-                          << ": connection lost during replay of step " << r
-                          << ": " << DescribeWait(io, *conn_);
+                          << ": waiting for PULL step " << step << " tensor "
+                          << t << (live ? "" : " (replay)")
+                          << " failed: " << DescribeWait(r, *conn_);
         return StepStatus::kRetry;
       }
       if (frame.header.type == MsgType::kError) {
-        Fail("server error during replay: " + PayloadString(frame));
+        Fail("server error: " + PayloadString(frame));
         return StepStatus::kFailed;
       }
       if (frame.header.type != MsgType::kPull ||
-          frame.header.step != static_cast<std::uint64_t>(r) ||
+          frame.header.step != static_cast<std::uint64_t>(step) ||
           frame.header.tensor != static_cast<std::uint32_t>(t)) {
         std::ostringstream oss;
-        oss << "protocol violation during replay: expected PULL step " << r
-            << " tensor " << t << ", got " << MsgTypeName(frame.header.type)
-            << " step " << frame.header.step << " tensor "
-            << frame.header.tensor;
+        oss << "protocol violation" << (live ? "" : " during replay")
+            << ": expected PULL step " << step << " tensor " << t << ", got "
+            << MsgTypeName(frame.header.type) << " step " << frame.header.step
+            << " tensor " << frame.header.tensor;
         Fail(oss.str());
         return StepStatus::kFailed;
       }
       pulls[t] = std::move(frame.payload);
     }
-    for (std::size_t t = 0; t < num_tensors; ++t) {
-      if (!UnwrapPull(t, pulls[t])) return StepStatus::kFailed;
-      try {
-        util::ByteReader reader(pulls[t]);
-        worker_->ApplyPull(t, reader);
-        if (!reader.AtEnd()) {
-          Fail("trailing bytes in replayed PULL for tensor " +
-               std::to_string(t));
-          return StepStatus::kFailed;
-        }
-      } catch (const std::exception& e) {
-        Fail(std::string("applying replayed PULL tensor ") +
-             std::to_string(t) + ": " + e.what());
+  }
+  obs::ScopedStage stage(prof, "decode", &record.decode_ns, span);
+  for (std::size_t t = 0; t < num_tensors; ++t) {
+    record.bytes_in += pulls[t].size();
+    if (!UnwrapPull(t, pulls[t])) return StepStatus::kFailed;
+    record.stage1_bytes_in += pulls[t].size();
+    try {
+      util::ByteReader reader(pulls[t]);
+      worker_->ApplyPull(t, reader);
+      if (!reader.AtEnd()) {
+        Fail("trailing bytes in PULL payload for step " +
+             std::to_string(step) + " tensor " + std::to_string(t));
         return StepStatus::kFailed;
       }
+    } catch (const std::exception& e) {
+      Fail("applying PULL step " + std::to_string(step) + " tensor " +
+           std::to_string(t) + ": " + e.what());
+      return StepStatus::kFailed;
     }
-    ++next_apply_;
+  }
+  ++next_apply_;
+  return StepStatus::kOk;
+}
+
+RpcWorker::StepStatus RpcWorker::ReplayTo(std::int64_t collect_step) {
+  while (next_apply_ < collect_step) {
+    // Advance the local state machine exactly as the original pass did:
+    // sample the batch, run forward/backward, and encode the pushes (which
+    // moves the EA buffers) — then discard the sends, since the server
+    // already aggregated bitwise-identical bytes.
+    if (computed_through_ < next_apply_) ComputeStep(next_apply_);
+    const StepStatus status = ReceivePulls(next_apply_, /*live=*/false);
+    if (status != StepStatus::kOk) return status;
     ++steps_run_;
   }
   return StepStatus::kOk;
@@ -2066,9 +1949,8 @@ bool RpcWorker::Connect(bool rejoin_mode) {
   obs::ScopedStage stage(&obs::StageProfiler::Global(),
                          rejoin_mode ? "rejoin" : "handshake", nullptr,
                          StepSpan(-1));
-  if (!rejoin_mode) return Handshake(*conn_);
-  std::int64_t collect_step = 0;
-  if (!RejoinHandshake(*conn_, &collect_step)) return false;
+  std::int64_t collect_step = next_apply_;  // a HELLO replays nothing
+  if (!Handshake(*conn_, rejoin_mode, &collect_step)) return false;
   // kRetry leaves failed_ unset: the caller may spend another reconnect
   // attempt on a fresh REJOIN.
   return ReplayTo(collect_step) == StepStatus::kOk;
@@ -2095,8 +1977,6 @@ bool RpcWorker::Reconnect() {
 }
 
 RpcWorker::StepStatus RpcWorker::RunStep(std::int64_t step) {
-  obs::StageProfiler* prof = &obs::StageProfiler::Global();
-  const obs::SpanTarget span = StepSpan(step);
   const std::size_t num_tensors = plan_->size();
 
   // Forward/backward + encode runs at most once per step, no matter how
@@ -2108,7 +1988,8 @@ RpcWorker::StepStatus RpcWorker::RunStep(std::int64_t step) {
   // The transport half of the TELEMETRY record. A step retried after a
   // reconnect adds every attempt's push (and wait) time to the same record.
   {
-    obs::ScopedStage stage(prof, "push", &pending_telemetry_.push_ns, span);
+    obs::ScopedStage stage(&obs::StageProfiler::Global(), "push",
+                           &pending_telemetry_.push_ns, StepSpan(step));
     for (std::size_t t = 0; t < num_tensors; ++t) {
       if (!conn_->SendFrame(MsgType::kPush, static_cast<std::uint64_t>(step),
                             static_cast<std::uint32_t>(t),
@@ -2128,71 +2009,15 @@ RpcWorker::StepStatus RpcWorker::RunStep(std::int64_t step) {
                         << conn_->last_error();
       return StepStatus::kRetry;
     }
-    if (conn_->FlushOutput(config_.io_timeout_ms) !=
-        Connection::IoResult::kOk) {
+    if (!Flush(*conn_)) {
       THREELC_LOG(Warn) << "rpc worker " << config_.worker_id
                         << ": flushing step " << step << " pushes failed: "
                         << conn_->last_error();
       return StepStatus::kRetry;
     }
   }
-  // Collect all of the step's pulls before applying any (deferred
-  // apply): a connection lost mid-collect leaves the model untouched and
-  // the step cleanly resumable after a rejoin.
-  std::vector<util::ByteBuffer> pulls(num_tensors);
-  {
-    obs::ScopedStage stage(prof, "pull_wait", &pending_telemetry_.pull_wait_ns,
-                           span);
-    for (std::size_t t = 0; t < num_tensors; ++t) {
-      Frame frame;
-      const Connection::IoResult r =
-          WaitDataFrame(*conn_, &frame, config_.pull_timeout_ms);
-      if (r != Connection::IoResult::kOk) {
-        THREELC_LOG(Warn) << "rpc worker " << config_.worker_id
-                          << ": waiting for PULL tensor " << t << " failed: "
-                          << DescribeWait(r, *conn_);
-        return StepStatus::kRetry;
-      }
-      if (frame.header.type == MsgType::kError) {
-        Fail("server error: " + PayloadString(frame));
-        return StepStatus::kFailed;
-      }
-      if (frame.header.type != MsgType::kPull ||
-          frame.header.step != static_cast<std::uint64_t>(step) ||
-          frame.header.tensor != static_cast<std::uint32_t>(t)) {
-        std::ostringstream oss;
-        oss << "protocol violation: expected PULL step " << step
-            << " tensor " << t << ", got " << MsgTypeName(frame.header.type)
-            << " step " << frame.header.step << " tensor "
-            << frame.header.tensor;
-        Fail(oss.str());
-        return StepStatus::kFailed;
-      }
-      pulls[t] = std::move(frame.payload);
-    }
-  }
-  {
-    obs::ScopedStage stage(prof, "decode", &pending_telemetry_.decode_ns, span);
-    for (std::size_t t = 0; t < num_tensors; ++t) {
-      pending_telemetry_.bytes_in += pulls[t].size();
-      if (!UnwrapPull(t, pulls[t])) return StepStatus::kFailed;
-      pending_telemetry_.stage1_bytes_in += pulls[t].size();
-      try {
-        util::ByteReader reader(pulls[t]);
-        worker_->ApplyPull(t, reader);
-        if (!reader.AtEnd()) {
-          Fail("trailing bytes in PULL payload for tensor " +
-               std::to_string(t));
-          return StepStatus::kFailed;
-        }
-      } catch (const std::exception& e) {
-        Fail(std::string("applying PULL tensor ") + std::to_string(t) +
-             ": " + e.what());
-        return StepStatus::kFailed;
-      }
-    }
-  }
-  ++next_apply_;
+  const StepStatus status = ReceivePulls(step, /*live=*/true);
+  if (status != StepStatus::kOk) return status;
   // Ship the completed step's telemetry record. Best-effort by design:
   // it is queued here and rides out with the next step's pushes (or the
   // BYE flush); a send failure is surfaced by the next real send, not by
@@ -2205,7 +2030,7 @@ RpcWorker::StepStatus RpcWorker::RunStep(std::int64_t step) {
   return StepStatus::kOk;
 }
 
-void RpcWorker::WriteResumeCheckpoint(const std::string& path) {
+void RpcWorker::WriteResumeCheckpoint() {
   // Checkpoint timing invariant: after completing step k, the model has
   // k's pulls applied, the EA buffers have advanced through k's encode,
   // the sampler has consumed k's batch, and next_step is k + 1 — exactly
@@ -2220,31 +2045,51 @@ void RpcWorker::WriteResumeCheckpoint(const std::string& path) {
   sampler_.SaveState(sampler_blob);
   state.sampler_state.assign(sampler_blob.data(),
                              sampler_blob.data() + sampler_blob.size());
-  nn::SaveCheckpointWithState(worker_->model(), state, path,
+  nn::SaveCheckpointWithState(worker_->model(), state, config_.checkpoint_path,
                               config_.block_codec);
 }
 
-void RpcWorker::SimulateCrash(std::int64_t step) {
-  if (!config_.exit_checkpoint_path.empty()) {
-    WriteResumeCheckpoint(config_.exit_checkpoint_path);
+bool RpcWorker::RestoreCheckpoint() {
+  const std::string& path = config_.checkpoint_path;
+  try {
+    nn::TrainState state;
+    nn::LoadCheckpointState(worker_->model(), &state, path);
+    util::ByteReader codec_reader(
+        util::ByteSpan(state.codec_state.data(), state.codec_state.size()));
+    worker_->LoadCodecState(codec_reader);
+    util::ByteReader sampler_reader(util::ByteSpan(
+        state.sampler_state.data(), state.sampler_state.size()));
+    sampler_.LoadState(sampler_reader);
+    next_apply_ = static_cast<std::int64_t>(state.next_step);
+    computed_through_ = next_apply_ - 1;
+  } catch (const std::exception& e) {
+    return Fail("cannot resume from checkpoint '" + path + "': " + e.what());
   }
+  THREELC_LOG(Info) << "rpc worker " << config_.worker_id
+                    << ": resuming from " << path << " at step "
+                    << next_apply_;
+  return true;
+}
+
+void RpcWorker::SimulateCrash(std::int64_t step) {
+  const bool checkpointed = !config_.checkpoint_path.empty();
+  if (checkpointed) WriteResumeCheckpoint();
   conn_->Close();  // abrupt: no BYE — the server sees a mid-run disconnect
   simulated_exit_ = true;
   failed_ = true;
   error_ = "simulated crash after step " + std::to_string(step);
   THREELC_LOG(Info) << "rpc worker " << config_.worker_id << ": " << error_
-                    << (config_.exit_checkpoint_path.empty()
-                            ? ""
-                            : " (checkpoint at " +
-                                  config_.exit_checkpoint_path + ")");
+                    << (checkpointed ? " (checkpoint at " +
+                                           config_.checkpoint_path + ")"
+                                     : "");
 }
 
 void RpcWorker::GracefulStop() {
   std::string note;
-  if (!config_.stop_checkpoint_path.empty()) {
+  if (!config_.checkpoint_path.empty()) {
     try {
-      WriteResumeCheckpoint(config_.stop_checkpoint_path);
-      note = "; checkpoint at " + config_.stop_checkpoint_path;
+      WriteResumeCheckpoint();
+      note = "; checkpoint at " + config_.checkpoint_path;
     } catch (const std::exception& e) {
       THREELC_LOG(Error) << "rpc worker " << config_.worker_id
                          << ": writing stop checkpoint: " << e.what();
@@ -2275,9 +2120,7 @@ bool RpcWorker::SayBye(Connection& conn) {
   if (!conn.SendFrame(MsgType::kBye, 0, 0, payload.span())) {
     return Fail("queueing BYE: " + conn.last_error());
   }
-  if (conn.FlushOutput(config_.io_timeout_ms) != Connection::IoResult::kOk) {
-    return Fail("flushing BYE: " + conn.last_error());
-  }
+  if (!Flush(conn)) return Fail("flushing BYE: " + conn.last_error());
   Frame ack;
   const Connection::IoResult r =
       WaitDataFrame(conn, &ack, config_.io_timeout_ms);
@@ -2303,6 +2146,7 @@ bool RpcWorker::Run() {
     tracer->SetTrackName(track,
                          "worker " + std::to_string(config_.worker_id));
   }
+  if (config_.rejoin && !RestoreCheckpoint()) return false;
   if (!Connect(config_.rejoin)) {
     if (failed_) return false;
     // The rejoin replay died on a soft fault; spend reconnect budget.

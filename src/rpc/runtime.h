@@ -78,8 +78,10 @@
 #include "util/timer.h"
 
 namespace threelc::obs {
+class ClusterView;
+class HealthMonitor;
 class Telemetry;
-}
+}  // namespace threelc::obs
 
 namespace threelc::nn {
 class CheckpointManager;
@@ -124,10 +126,12 @@ struct RpcServerConfig {
   // grace_ms + lease_ms instead of step_timeout_ms. Expiry routes through
   // the grace/evict machinery (grace_ms > 0) or fails the run (strict
   // mode). The server also broadcasts HEARTBEAT beacons every
-  // heartbeat_ms (0 derives max(50, lease_ms / 4)) so workers can run
-  // their own lease against it. Set lease_ms comfortably above the
-  // longest worker compute+encode gap: a worker only beacons while
-  // blocked on the server, not mid-compute. lease_ms == 0 disables both.
+  // heartbeat_ms (0 derives max(50, lease_ms / 4), the same cadence rule
+  // as the worker's) so workers can run their own lease against it. Set
+  // lease_ms comfortably above the longest worker compute+encode gap: a
+  // worker only beacons while blocked on the server, not mid-compute.
+  // lease_ms == 0 disables both leases and beacons; heartbeat_ms alone
+  // does nothing.
   int lease_ms = 0;
   int heartbeat_ms = 0;
   // Server crash recovery. A non-empty checkpoint_path enables the
@@ -255,8 +259,13 @@ class RpcServer {
 
   void OnFrame(Connection& conn, Frame&& frame);
   void OnDisconnect(Connection& conn, const std::string& reason);
-  void HandleHello(Connection& conn, const Frame& frame);
-  void HandleRejoin(Connection& conn, const Frame& frame);
+  // HELLO (rejoin false) or REJOIN: validate, register the connection,
+  // ack, and for a REJOIN replay the missed pulls.
+  void HandleJoin(Connection& conn, const Frame& frame, bool rejoin);
+  // The telemetry's health monitor / cluster view; null when telemetry is
+  // off or the piece is not attached.
+  obs::HealthMonitor* health() const;
+  obs::ClusterView* cluster_view() const;
   // Poll until `done` returns true. False on fault or deadline. Also
   // drives grace-window expiry (evictions) between poll slices.
   bool PollUntil(const std::function<bool()>& done, int timeout_ms,
@@ -267,20 +276,25 @@ class RpcServer {
   // (workers may push step s+1 the moment their step-s pulls land, so this
   // runs before the server blocks waiting for them).
   void BeginCollect(std::int64_t step);
+  // Forget worker w's contribution to the step being collected (a dead or
+  // rejoining worker resends the whole step).
+  void ResetContribution(std::size_t w);
   bool RunStep(std::int64_t step, float lr);
   bool ApplyWorkerBuffers();
 
   // Liveness plumbing (lease_ms > 0). StampLiveness records a frame —
   // any type — from worker w; CheckLeases sweeps for workers silent past
-  // the lease and routes them through MarkWorkerDead (grace mode) or
-  // Fail (strict); SendHeartbeats broadcasts the server's beacon on the
-  // effective cadence. All driven from PollUntil's slice loop.
+  // the lease and routes them through LoseWorker; SendHeartbeats
+  // broadcasts the server's beacon on the shared cadence. All driven from
+  // PollUntil's slice loop.
   void StampLiveness(std::size_t w);
   void CheckLeases();
   void SendHeartbeats();
-  int EffectiveHeartbeatMs() const;
 
-  // Fault-tolerance plumbing.
+  // Fault-tolerance plumbing. LoseWorker routes a lost worker through
+  // MarkWorkerDead (grace mode) or fails the run (strict); it returns
+  // false when the run failed.
+  bool LoseWorker(std::size_t w, const std::string& why);
   void MarkWorkerDead(std::size_t w, const std::string& reason);
   void EvictExpired();               // grace-window sweep
   void Evict(std::size_t w, const std::string& reason);
@@ -413,36 +427,39 @@ struct RpcWorkerConfig {
   int io_timeout_ms = 30000;
   // Fault tolerance / recovery.
   //
-  // start_step is the first step this worker has NOT yet applied; with
-  // rejoin=true the initial handshake is REJOIN instead of HELLO, which is
-  // how a process restarted from a checkpoint v3 (model + EA buffers +
-  // sampler cursor + step counter) re-enters a live run.
-  std::int64_t start_step = 0;
+  // checkpoint_path names this worker's resume checkpoint (checkpoint v3:
+  // model + codec EA buffers + sampler cursor + the first step not yet
+  // applied). The worker writes it on a simulated crash (exit_after_step)
+  // and on a graceful stop (stop_flag); empty writes nothing. With
+  // rejoin=true, Run() first restores all of that state from the file —
+  // a missing or corrupt file fails the run, naming the path — and
+  // enters the run with REJOIN instead of HELLO: how a restarted process
+  // re-enters a live run.
+  std::string checkpoint_path;
   bool rejoin = false;
   // How many times a lost connection may be re-established mid-run before
   // the worker gives up (0 keeps the strict fail-fast model).
   int max_reconnects = 0;
   // Liveness (protocol v6). lease_ms > 0: while blocked on the server
   // (pull wait, handshake, replay) the worker sends HEARTBEAT beacons
-  // every heartbeat_ms (0 derives max(50, lease_ms / 4)) and requires
-  // some frame — heartbeat or data — from the server within lease_ms.
-  // Expiry closes the connection and surfaces as a soft failure feeding
-  // the max_reconnects budget, so a hung or rx-partitioned server costs
-  // lease_ms + backoff instead of the full pull_timeout_ms. 0 disables.
+  // every heartbeat_ms (0 derives max(50, lease_ms / 4), the server's
+  // rule too) and requires some frame — heartbeat or data — from the
+  // server within lease_ms. Expiry closes the connection and surfaces as
+  // a soft failure feeding the max_reconnects budget, so a hung or
+  // rx-partitioned server costs lease_ms + backoff instead of the full
+  // pull_timeout_ms. 0 disables.
   int lease_ms = 0;
   int heartbeat_ms = 0;
-  // Chaos testing: after completing this step, write a checkpoint v3 to
-  // exit_checkpoint_path (if set), close the socket abruptly (no BYE), and
-  // return from Run with simulated_exit() true. -1 disables.
+  // Chaos testing: after completing this step, write the resume
+  // checkpoint (if checkpoint_path is set), close the socket abruptly (no
+  // BYE), and return from Run with simulated_exit() true. -1 disables.
   std::int64_t exit_after_step = -1;
-  std::string exit_checkpoint_path;
   // Graceful stop (e.g. set by a SIGTERM handler): polled between steps;
-  // when it flips true the worker writes a checkpoint v3 to
-  // stop_checkpoint_path (if set), closes, and returns from Run with
+  // when it flips true the worker writes the resume checkpoint (if
+  // checkpoint_path is set), closes, and returns from Run with
   // interrupted() true — restartable exactly where it left off. Not
   // owned; may be nullptr.
   const std::atomic<bool>* stop_flag = nullptr;
-  std::string stop_checkpoint_path;
   // Injected into every connection this worker makes; not owned.
   FaultInjector* fault = nullptr;
   // Optional rpc metrics + handshake and step-phase spans (track 1 + id).
@@ -493,11 +510,18 @@ class RpcWorker {
   // failed_ unset on a soft failure (connection died again mid-replay).
   bool Connect(bool rejoin_mode);
   bool Reconnect();
-  bool Handshake(Connection& conn);
-  bool RejoinHandshake(Connection& conn, std::int64_t* collect_step);
+  // Send HELLO (rejoin false) or REJOIN and validate the ack. A REJOIN_ACK
+  // sets *collect_step to the step the server is collecting.
+  bool Handshake(Connection& conn, bool rejoin, std::int64_t* collect_step);
   // Catch up to the server's collect step by recomputing each missed step
   // locally and applying the replayed pull bytes.
   StepStatus ReplayTo(std::int64_t collect_step);
+  // Receive every PULL frame of `step`, then apply them all (deferred
+  // apply: a connection lost mid-receive leaves the model untouched and
+  // the step resumable after a rejoin), and advance next_apply_. `live`
+  // (RunStep, not a replay) times pull_wait/decode and counts the bytes
+  // into the step's TELEMETRY record.
+  StepStatus ReceivePulls(std::int64_t step, bool live);
   // Forward/backward + encode every push into pending_push_, advancing the
   // codec's EA buffers and the sampler exactly once per step.
   void ComputeStep(std::int64_t step);
@@ -506,20 +530,26 @@ class RpcWorker {
   obs::SpanTarget StepSpan(std::int64_t step) const;
   // WaitFrame that skips EVICT broadcasts (membership news about other
   // workers) and HEARTBEAT beacons (they refresh the lease and are
-  // dropped). With config_.lease_ms > 0 the wait is sliced: beacons go
-  // out on the cadence and lease_ms of total server silence ends the
-  // wait early (connection closed, kClosed returned).
+  // dropped); a malformed one Fails the run and returns kError. With
+  // config_.lease_ms > 0 the wait is sliced: beacons go out on the
+  // cadence and lease_ms of total server silence ends the wait early
+  // (connection closed, kClosed returned). kTimeout at timeout_ms, counted
+  // once in rpc/timeouts.
   Connection::IoResult WaitDataFrame(Connection& conn, Frame* frame,
                                      int timeout_ms);
+  // FlushOutput on the io deadline; a miss counts in rpc/timeouts.
+  bool Flush(Connection& conn);
   // Unwrap the negotiated block envelope in place (no-op for store).
   // Returns false after Fail() on a malformed envelope.
   bool UnwrapPull(std::size_t t, util::ByteBuffer& payload);
   StepStatus RunStep(std::int64_t step);
   void SimulateCrash(std::int64_t step);
-  // Write a checkpoint v3 (model + EA buffers + sampler cursor +
-  // next_apply_) to `path` — the shared tail of SimulateCrash and the
-  // graceful stop_flag exit.
-  void WriteResumeCheckpoint(const std::string& path);
+  // Write / restore the resume checkpoint at config_.checkpoint_path
+  // (model + EA buffers + sampler cursor + next_apply_). The model is
+  // loaded in place, so ps::Worker's cached parameter pointers stay
+  // valid. RestoreCheckpoint Fails on a missing or corrupt file.
+  void WriteResumeCheckpoint();
+  bool RestoreCheckpoint();
   void GracefulStop();
   bool SayBye(Connection& conn);
   bool Fail(const std::string& message);

@@ -428,11 +428,8 @@ Connection::IoResult Connection::FlushOutput(int timeout_ms) {
   while (wants_write()) {
     const int remaining = deadline.RemainingMs();
     if (remaining == 0) {
-      if (metrics_ != nullptr && metrics_->timeouts != nullptr) {
-        metrics_->timeouts->Add(1.0);
-      }
       last_error_ = "flush timed out";
-      return IoResult::kError;
+      return IoResult::kTimeout;
     }
     pollfd pfd{fd_, POLLOUT, 0};
     const int ready = poll(&pfd, 1, remaining);
@@ -451,11 +448,8 @@ Connection::IoResult Connection::WaitFrame(Frame* out, int timeout_ms) {
     if (PopFrame(out)) return IoResult::kOk;
     const int remaining = deadline.RemainingMs();
     if (remaining == 0) {
-      if (metrics_ != nullptr && metrics_->timeouts != nullptr) {
-        metrics_->timeouts->Add(1.0);
-      }
       last_error_ = "timed out waiting for a frame";
-      return IoResult::kError;
+      return IoResult::kTimeout;
     }
     if (rx_blocked_) {
       // Inbound is severed: polling POLLIN (or riding out POLLHUP) would

@@ -109,8 +109,9 @@ class Connection {
  public:
   enum class IoResult {
     kOk,      // made progress (possibly none needed)
-    kClosed,  // peer closed the connection
-    kError,   // socket error, parse error, queue overflow, or timeout
+    kClosed,   // peer closed the connection
+    kError,    // socket error, parse error, or queue overflow
+    kTimeout,  // a blocking helper's deadline passed first
   };
 
   // 64 MiB of queued-but-unsent frames before SendFrame reports
@@ -167,8 +168,9 @@ class Connection {
 
   // Blocking helpers for the single-connection (worker) side.
   // FlushOutput writes the whole queue; WaitFrame returns the next frame,
-  // reading as needed. Both fail (kError, timeouts counter) after
-  // `timeout_ms` without completion.
+  // reading as needed. Both return kTimeout after `timeout_ms` without
+  // completion and leave rpc/timeouts to the caller, which knows whether
+  // the deadline was its own or one slice of a longer wait.
   IoResult FlushOutput(int timeout_ms);
   IoResult WaitFrame(Frame* out, int timeout_ms);
 

@@ -1,5 +1,5 @@
 // Tests for model checkpointing (save/load round trips and corruption
-// handling), plus server-sharding assignment.
+// handling).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,7 +8,6 @@
 
 #include "nn/checkpoint.h"
 #include "nn/checkpoint_manager.h"
-#include "ps/sharding.h"
 #include "tensor/tensor_ops.h"
 #include "train/model_zoo.h"
 #include "util/atomic_file.h"
@@ -582,63 +581,6 @@ TEST(AtomicFile, StaleTempFromEarlierCrashIsOverwritten) {
   EXPECT_EQ(state.epoch, 3u);
   EXPECT_FALSE(std::ifstream(temp_path).good()) << "temp file leaked";
   std::remove(path.c_str());
-}
-
-// ---------- Sharding ----------
-
-TEST(Sharding, SingleShardTakesEverything) {
-  auto model = train::BuildMlp(Spec(), 1);
-  auto plan = ps::TensorPlan::FromParams(model.Params(), 1);
-  auto shards = ps::ShardPlan(plan, 1);
-  EXPECT_EQ(shards.num_shards(), 1);
-  EXPECT_EQ(shards.shard_elements[0], plan.TotalElements());
-  EXPECT_NEAR(shards.Imbalance(), 1.0, 1e-9);
-}
-
-TEST(Sharding, AssignsEveryTensorExactlyOnce) {
-  auto model = train::BuildMlp({64, {128, 64, 32}, 10, true}, 2);
-  auto plan = ps::TensorPlan::FromParams(model.Params(), 1);
-  auto shards = ps::ShardPlan(plan, 3);
-  ASSERT_EQ(shards.shard_of.size(), plan.size());
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    EXPECT_GE(shards.shard_of[i], 0);
-    EXPECT_LT(shards.shard_of[i], 3);
-    total += plan.entry(i).shape.num_elements();
-  }
-  std::int64_t shard_total = 0;
-  for (auto e : shards.shard_elements) shard_total += e;
-  EXPECT_EQ(shard_total, total);
-}
-
-TEST(Sharding, LptBalancesLoad) {
-  auto model = train::BuildMlp({64, {128, 64, 32}, 10, true}, 2);
-  auto plan = ps::TensorPlan::FromParams(model.Params(), 1);
-  auto shards = ps::ShardPlan(plan, 2);
-  // LPT guarantees makespan within 4/3 of optimal; optimal >= ideal.
-  EXPECT_LT(shards.Imbalance(), 4.0 / 3.0 + 1e-9);
-}
-
-TEST(Sharding, MoreShardsNeverIncreaseBottleneck) {
-  auto model = train::BuildMlp({64, {128, 64, 32}, 10, true}, 2);
-  auto plan = ps::TensorPlan::FromParams(model.Params(), 1);
-  std::int64_t prev = plan.TotalElements() + 1;
-  for (int shards = 1; shards <= 4; ++shards) {
-    const auto assignment = ps::ShardPlan(plan, shards);
-    EXPECT_LE(assignment.MaxShardElements(), prev);
-    prev = assignment.MaxShardElements();
-  }
-}
-
-TEST(Sharding, MoreShardsThanTensors) {
-  auto model = train::BuildMlp(Spec(), 1);
-  auto plan = ps::TensorPlan::FromParams(model.Params(), 1);
-  auto shards = ps::ShardPlan(plan, 100);
-  std::int64_t largest = 0;
-  for (const auto& e : plan.entries()) {
-    largest = std::max(largest, e.shape.num_elements());
-  }
-  EXPECT_EQ(shards.MaxShardElements(), largest);  // largest tensor alone
 }
 
 // ---------- CheckpointManager: generations + last-good fallback ----------

@@ -10,12 +10,14 @@
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "compress/factory.h"
+#include "obs/telemetry.h"
 #include "ps/plan.h"
 #include "rpc/fault.h"
 #include "rpc/runtime.h"
@@ -328,6 +330,32 @@ TEST(FaultTolerance, StaleRejoinRejectedWithoutKillingRun) {
   EXPECT_EQ(h.server->rejoins(), 1u);  // the stale attempt doesn't count
   EXPECT_EQ(h.server->steps_completed(), setup.config.trainer.total_steps);
   std::remove(ckpt.c_str());
+}
+
+// A rejoining worker restores itself from its checkpoint_path before it
+// connects; a file that is missing or corrupt fails the run cleanly,
+// naming the path, instead of rejoining with fresh state.
+TEST(FaultTolerance, RejoinFailsCleanlyOnMissingOrCorruptCheckpoint) {
+  TestSetup setup =
+      MakeTestSetup(1, /*steps=*/2, compress::CodecConfig::ThreeLC(1.0f));
+  const std::string missing = ::testing::TempDir() + "/ft_missing.ckpt";
+  const std::string corrupt = ::testing::TempDir() + "/ft_corrupt.ckpt";
+  std::remove(missing.c_str());
+  std::ofstream(corrupt, std::ios::binary) << "3LCK garbage, not a checkpoint";
+  for (const std::string& path : {missing, corrupt}) {
+    SCOPED_TRACE(path);
+    WorkerChaos chaos;
+    chaos.rejoin = true;
+    chaos.checkpoint_path = path;
+    // No server: the restore fails before any connect is attempted.
+    const WorkerResult result = RunOneWorker(setup, 0, /*port=*/1, chaos);
+    EXPECT_FALSE(result.ok);
+    EXPECT_FALSE(result.simulated_exit);
+    EXPECT_NE(result.error.find("cannot resume from checkpoint '" + path),
+              std::string::npos)
+        << result.error;
+  }
+  std::remove(corrupt.c_str());
 }
 
 // RequestStop from another thread (the process supervisor's path when a
@@ -849,6 +877,61 @@ TEST(FaultTolerance, TxPartitionedWorkerReconnectsWithinLeaseBudget) {
 
   std::unique_ptr<nn::Model> reference = RunInProcessReference(setup);
   EXPECT_TRUE(ModelsBitwiseEqual(*h.model, *reference));
+}
+
+// rpc/timeouts counts deadlines a worker actually missed. A healthy worker
+// whose pull wait is stretched by a slow peer spends many short lease
+// slices waiting between beacons; none of them is a timeout.
+TEST(FaultTolerance, SlowPeerCostsHealthyWorkerNoTimeouts) {
+  TestSetup setup =
+      MakeTestSetup(2, /*steps=*/4, compress::CodecConfig::ThreeLC(1.0f));
+  ServerChaos leases;
+  leases.lease_ms = 2000;
+  leases.heartbeat_ms = 500;  // sparse beacons: the healthy wait is sliced
+  ServerHarness h = MakeServer(setup, /*grace_ms=*/0, /*replay_steps=*/8,
+                               /*fault=*/nullptr, leases);
+  std::string error;
+  ASSERT_TRUE(h.server->Listen(&error)) << error;
+
+  FaultInjector injector(/*seed=*/31);
+  std::string spec_error;
+  ASSERT_TRUE(injector.AddRulesFromSpec("delay300:push@1;delay300:push@2",
+                                        &spec_error))
+      << spec_error;
+  obs::TelemetryOptions options;
+  options.metrics_path = ::testing::TempDir() + "/ft_slow_peer_w0.jsonl";
+  obs::Telemetry healthy_telemetry(options);
+  TestSetup healthy = setup;
+  healthy.telemetry = &healthy_telemetry;
+
+  bool server_ok = false;
+  std::thread server_thread([&] { server_ok = h.server->Run(); });
+  WorkerResult results[2];
+  std::thread w0([&] {
+    WorkerChaos chaos;
+    chaos.lease_ms = 2000;
+    chaos.heartbeat_ms = 50;
+    results[0] = RunOneWorker(healthy, 0, h.server->port(), chaos);
+  });
+  std::thread w1([&] {
+    WorkerChaos chaos;
+    chaos.fault = &injector;
+    chaos.lease_ms = 2000;
+    chaos.heartbeat_ms = 50;
+    results[1] = RunOneWorker(setup, 1, h.server->port(), chaos);
+  });
+  w0.join();
+  w1.join();
+  server_thread.join();
+
+  ASSERT_TRUE(server_ok) << h.server->error();
+  EXPECT_TRUE(results[0].ok) << results[0].error;
+  EXPECT_TRUE(results[1].ok) << results[1].error;
+  EXPECT_EQ(injector.faults_injected(), 2u);
+  EXPECT_GT(healthy_telemetry.metrics().counter("rpc/heartbeats_sent")->value(),
+            0.0);
+  EXPECT_EQ(healthy_telemetry.metrics().counter("rpc/timeouts")->value(), 0.0);
+  std::remove(options.metrics_path.c_str());
 }
 
 // The liveness additions to the injector grammar parse (direction rides

@@ -3,17 +3,20 @@
 // model parameters to the in-process DistributedTrainer for the same
 // seed/codec/steps, and every injected fault (rogue disconnect, garbage
 // bytes, plan-hash mismatch, absent peers, dead port) must fail cleanly
-// with a descriptive error instead of hanging or crashing. One run also
+// with a descriptive error instead of hanging or crashing; the handshake
+// checks hold for HELLO and REJOIN alike. One run also
 // checks that every phase timing the runtime reports — step JSONL, trace
 // spans, /clusterz, stage profiler — is the same measurement.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "blockcodec/block_codec.h"
 #include "compress/factory.h"
 #include "data/synthetic.h"
 #include "obs/cluster_view.h"
@@ -325,13 +329,15 @@ TEST(RpcRuntime, CorruptedBytesFailServerCleanly) {
   EXPECT_FALSE(h.server->error().empty());
 }
 
-// A worker built against a different plan/codec must be rejected at the
-// handshake with an ERROR frame, before any payload is interpreted.
-TEST(RpcRuntime, PlanHashMismatchRejectedAtHandshake) {
+// Send one HELLO or REJOIN (a valid one, then `tamper`ed) to a fresh
+// one-worker server and return the error its run fails with. The server
+// answers a rejected handshake with an ERROR frame or a close.
+std::string JoinFailure(bool rejoin,
+                        const std::function<void(HandshakePayload&)>& tamper) {
   TestSetup setup = MakeTestSetup(1, 1, compress::CodecConfig::Float32());
   ServerHarness h = MakeServer(setup);
   std::string error;
-  ASSERT_TRUE(h.server->Listen(&error)) << error;
+  EXPECT_TRUE(h.server->Listen(&error)) << error;
 
   bool server_ok = true;
   std::thread server_thread([&] { server_ok = h.server->Run(); });
@@ -340,16 +346,21 @@ TEST(RpcRuntime, PlanHashMismatchRejectedAtHandshake) {
   std::string connect_error;
   const int fd = ConnectWithRetry("127.0.0.1", h.server->port(), retry, nullptr,
                                   &connect_error);
-  ASSERT_GE(fd, 0) << connect_error;
+  EXPECT_GE(fd, 0) << connect_error;
   Connection impostor(fd);
   HandshakePayload payload;
   payload.worker_id = 0;
-  payload.plan_hash = 0xDEADBEEFu;  // not the server's plan hash
+  payload.plan_hash = PlanHash(*h.plan, h.codec->name());
   payload.codec = h.codec->name();
-  util::ByteBuffer hello;
-  EncodeHandshake(payload, /*rejoin=*/false, hello);
-  ASSERT_TRUE(impostor.SendFrame(MsgType::kHello, 0, 0, hello.span()));
-  ASSERT_EQ(impostor.FlushOutput(2000), Connection::IoResult::kOk);
+  payload.block_codec = blockcodec::kStoreId;
+  payload.epoch = rejoin ? 1 : 0;
+  payload.next_step = 0;  // the step a fresh server is collecting
+  tamper(payload);
+  util::ByteBuffer bytes;
+  EncodeHandshake(payload, rejoin, bytes);
+  EXPECT_TRUE(impostor.SendFrame(rejoin ? MsgType::kRejoin : MsgType::kHello,
+                                 0, 0, bytes.span()));
+  EXPECT_EQ(impostor.FlushOutput(2000), Connection::IoResult::kOk);
 
   Frame reply;
   const Connection::IoResult got = impostor.WaitFrame(&reply, 5000);
@@ -363,8 +374,84 @@ TEST(RpcRuntime, PlanHashMismatchRejectedAtHandshake) {
   impostor.Close();
   server_thread.join();
   EXPECT_FALSE(server_ok);
-  EXPECT_NE(h.server->error().find("plan"), std::string::npos)
-      << h.server->error();
+  return h.server->error();
+}
+
+// HELLO and REJOIN share one join path: a worker built against a
+// different plan/codec or block codec, or claiming an id the run does not
+// have, is rejected at the handshake before any payload is interpreted,
+// whichever message it sends.
+TEST(RpcRuntime, JoinChecksRejectBadHelloAndRejoin) {
+  const std::uint8_t other_block_codec = blockcodec::Find("lz+rans")->id();
+  const std::vector<
+      std::pair<std::string, std::function<void(HandshakePayload&)>>>
+      cases = {
+          {"plan", [](HandshakePayload& p) { p.plan_hash = 0xDEADBEEFu; }},
+          {"plan", [](HandshakePayload& p) { p.codec = "3lc"; }},
+          {"block-codec",
+           [&](HandshakePayload& p) { p.block_codec = other_block_codec; }},
+          {"out-of-range worker id",
+           [](HandshakePayload& p) { p.worker_id = 7; }},
+      };
+  for (const bool rejoin : {false, true}) {
+    for (const auto& [needle, tamper] : cases) {
+      SCOPED_TRACE(std::string(rejoin ? "REJOIN" : "HELLO") + ": " + needle);
+      const std::string error = JoinFailure(rejoin, tamper);
+      EXPECT_NE(error.find(needle), std::string::npos) << error;
+      EXPECT_NE(error.find(rejoin ? "REJOIN" : "HELLO"), std::string::npos)
+          << error;
+    }
+  }
+}
+
+// The worker decodes the server's liveness frames as strictly as the
+// server decodes its own: a malformed HEARTBEAT or EVICT fails the run,
+// naming the message type, instead of being skipped. The server here is
+// a fake that acks the HELLO and then sends the bad frame.
+TEST(RpcRuntime, MalformedLivenessFrameFailsWorker) {
+  TestSetup setup = MakeTestSetup(1, 2, compress::CodecConfig::Float32());
+  for (const auto& [type, size] :
+       {std::pair<MsgType, std::size_t>{MsgType::kHeartbeat, 3},
+        std::pair<MsgType, std::size_t>{MsgType::kEvict, 5}}) {
+    SCOPED_TRACE(MsgTypeName(type));
+    std::string error;
+    int port = -1;
+    const int listen_fd = ListenOn("127.0.0.1", 0, &error, &port);
+    ASSERT_GE(listen_fd, 0) << error;
+    std::thread fake_server([&, type = type, size = size] {
+      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      ASSERT_GE(fd, 0);
+      Connection conn(fd);
+      Frame hello;
+      ASSERT_EQ(conn.WaitFrame(&hello, 10000), Connection::IoResult::kOk);
+      const HandshakePayload join =
+          DecodeHandshake(hello.payload.span(), /*rejoin=*/false);
+      HandshakeAckPayload ack;
+      ack.num_workers = 1;
+      ack.total_steps = 2;
+      ack.plan_hash = join.plan_hash;
+      ack.block_codec = join.block_codec;
+      ack.epoch = 1;
+      util::ByteBuffer ack_bytes;
+      EncodeHandshakeAck(ack, /*rejoin=*/false, ack_bytes);
+      ASSERT_TRUE(conn.SendFrame(MsgType::kHelloAck, 0, 0, ack_bytes.span()));
+      const std::vector<std::uint8_t> junk(size, 0);
+      ASSERT_TRUE(conn.SendFrame(type, 0, 0,
+                                 util::ByteSpan(junk.data(), junk.size())));
+      ASSERT_EQ(conn.FlushOutput(2000), Connection::IoResult::kOk);
+      // Drain the worker's pushes until it hangs up.
+      Frame ignored;
+      while (conn.WaitFrame(&ignored, 10000) == Connection::IoResult::kOk) {
+      }
+    });
+    const WorkerResult worker = RunOneWorker(setup, 0, port);
+    fake_server.join();
+    ::close(listen_fd);
+    EXPECT_FALSE(worker.ok);
+    EXPECT_NE(worker.error.find(std::string("malformed ") + MsgTypeName(type)),
+              std::string::npos)
+        << worker.error;
+  }
 }
 
 // Worker side: a dead port exhausts its bounded retries and reports the

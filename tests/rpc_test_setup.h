@@ -12,7 +12,6 @@
 
 #include "compress/factory.h"
 #include "data/synthetic.h"
-#include "nn/checkpoint.h"
 #include "nn/model.h"
 #include "ps/plan.h"
 #include "ps/server.h"
@@ -22,7 +21,6 @@
 #include "train/experiment.h"
 #include "train/model_zoo.h"
 #include "train/trainer.h"
-#include "util/byte_buffer.h"
 #include "util/rng.h"
 
 namespace threelc::rpc {
@@ -90,19 +88,15 @@ struct WorkerResult {
 };
 
 // One worker lifetime on the calling thread, mirroring
-// examples/distributed_training.cpp: with chaos.rejoin it restores the
-// full training state from the crash checkpoint before reconnecting.
+// examples/distributed_training.cpp: with chaos.rejoin the RpcWorker
+// restores the full training state from chaos.checkpoint_path (the file a
+// previous life's simulated crash wrote) before reconnecting.
 inline WorkerResult RunOneWorker(const TestSetup& setup, int worker_id,
                                  int port, const WorkerChaos& chaos = {}) {
   WorkerResult result;
   const train::TrainerConfig& tc = setup.config.trainer;
   nn::Model model =
       train::BuildMlp(setup.config.model, setup.config.model_seed);
-
-  nn::TrainState resume;
-  if (chaos.rejoin) {
-    nn::LoadCheckpointState(model, &resume, chaos.checkpoint_path);
-  }
 
   const ps::TensorPlan plan =
       ps::TensorPlan::FromParams(model.Params(), tc.min_compress_elems);
@@ -115,15 +109,6 @@ inline WorkerResult RunOneWorker(const TestSetup& setup, int worker_id,
   for (int i = 0; i < worker_id; ++i) rng = seeder.Fork();
   data::Sampler sampler(setup.data.train, rng, tc.augment_noise);
 
-  if (chaos.rejoin) {
-    util::ByteReader codec_reader(util::ByteSpan(resume.codec_state.data(),
-                                                 resume.codec_state.size()));
-    ps_worker.LoadCodecState(codec_reader);
-    util::ByteReader sampler_reader(util::ByteSpan(
-        resume.sampler_state.data(), resume.sampler_state.size()));
-    sampler.LoadState(sampler_reader);
-  }
-
   RpcWorkerConfig wc;
   wc.port = port;
   wc.worker_id = worker_id;
@@ -133,12 +118,10 @@ inline WorkerResult RunOneWorker(const TestSetup& setup, int worker_id,
   wc.io_timeout_ms = 10000;
   wc.retry.max_attempts = 5;
   wc.retry.initial_backoff_ms = 10;
-  wc.start_step =
-      chaos.rejoin ? static_cast<std::int64_t>(resume.next_step) : 0;
+  wc.checkpoint_path = chaos.checkpoint_path;
   wc.rejoin = chaos.rejoin;
   wc.max_reconnects = chaos.max_reconnects;
   wc.exit_after_step = chaos.exit_after_step;
-  wc.exit_checkpoint_path = chaos.checkpoint_path;
   wc.fault = chaos.fault;
   wc.block_codec = setup.block_codec;
   wc.lease_ms = chaos.lease_ms;

@@ -165,7 +165,7 @@ TEST(Connection, TxPartitionDropsFramesSilentlyWhileRxStaysLive) {
 
   // Nothing arrives at the peer.
   Frame frame;
-  EXPECT_EQ(b.WaitFrame(&frame, 100), Connection::IoResult::kError);
+  EXPECT_EQ(b.WaitFrame(&frame, 100), Connection::IoResult::kTimeout);
 
   // The reverse direction still delivers: b -> a is untouched.
   ASSERT_TRUE(b.SendFrame(MsgType::kPull, 3, 0, payload.span()));
@@ -174,7 +174,9 @@ TEST(Connection, TxPartitionDropsFramesSilentlyWhileRxStaysLive) {
   EXPECT_EQ(frame.header.type, MsgType::kPull);
 }
 
-TEST(Connection, WaitFrameTimesOutAndCountsIt) {
+// A deadline is a result value, not an error; rpc/timeouts is the
+// caller's to count (a lease-sliced wait runs many short deadlines).
+TEST(Connection, WaitFrameTimesOutWithoutCountingIt) {
   obs::MetricsRegistry registry;
   registry.set_enabled(true);
   TransportMetrics metrics = TransportMetrics::RegisterIn(registry);
@@ -185,9 +187,9 @@ TEST(Connection, WaitFrameTimesOutAndCountsIt) {
   Connection b(fds[1], &metrics);
 
   Frame frame;
-  EXPECT_EQ(a.WaitFrame(&frame, 50), Connection::IoResult::kError);
+  EXPECT_EQ(a.WaitFrame(&frame, 50), Connection::IoResult::kTimeout);
   EXPECT_FALSE(a.last_error().empty());
-  EXPECT_EQ(metrics.timeouts->value(), 1.0);
+  EXPECT_EQ(metrics.timeouts->value(), 0.0);
   (void)b;
 }
 
