@@ -1,6 +1,6 @@
 #include "compress/eight_bit.h"
 
-#include <cmath>
+#include "compress/quantize3.h"
 
 namespace threelc::compress {
 
@@ -12,11 +12,7 @@ void EightBitInt::EncodeImpl(const Tensor& in, Context&, ByteBuffer& out,
                              EncodeStats*) const {
   const auto n = static_cast<std::size_t>(in.num_elements());
   const float* src = in.data();
-  float m = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float a = std::fabs(src[i]);
-    m = a > m ? a : m;
-  }
+  const float m = MaxAbs(src, n);
   out.AppendF32(m);
   const std::size_t base = out.size();
   out.Resize(base + n);

@@ -1,26 +1,18 @@
 #include "compress/quantize3.h"
 
-#include <cmath>
-
+#include "compress/three_lc_kernels.h"
 #include "util/logging.h"
 
 namespace threelc::compress {
 
-namespace {
-float MaxAbsScaled(const float* in, std::size_t n, float s) {
-  float m = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float a = std::fabs(in[i]);
-    m = a > m ? a : m;
-  }
-  return m * s;
+float MaxAbs(const float* in, std::size_t n) {
+  return internal::Kernels().accumulate_max_abs(in, nullptr, n);
 }
-}  // namespace
 
 float Quantize3(const float* in, std::size_t n, float s, std::int8_t* out) {
   THREELC_CHECK_MSG(s >= kMinSparsityMultiplier && s < kMaxSparsityMultiplier,
                     "sparsity multiplier out of [1, 2): " << s);
-  const float M = MaxAbsScaled(in, n, s);
+  const float M = MaxAbs(in, n) * s;
   if (M == 0.0f) {
     for (std::size_t i = 0; i < n; ++i) out[i] = 0;
     return 0.0f;
@@ -44,7 +36,7 @@ float Quantize3WithResidual(const float* in, std::size_t n, float s,
                             std::int8_t* out, float* residual) {
   THREELC_CHECK_MSG(s >= kMinSparsityMultiplier && s < kMaxSparsityMultiplier,
                     "sparsity multiplier out of [1, 2): " << s);
-  const float M = MaxAbsScaled(in, n, s);
+  const float M = MaxAbs(in, n) * s;
   if (M == 0.0f) {
     for (std::size_t i = 0; i < n; ++i) {
       out[i] = 0;

@@ -25,6 +25,11 @@ inline constexpr float kMinSparsityMultiplier = 1.0f;
 // the M/2 < max|T_in| convergence bound breaks.
 inline constexpr float kMaxSparsityMultiplier = 2.0f;  // exclusive
 
+// max(|in|) over n floats, +0 when n == 0. A NaN never wins, exactly as in
+// the float loop `m = |x| > m ? |x| : m` from m = +0; computed as an
+// integer max over the bits with the sign cleared, which vectorizes.
+float MaxAbs(const float* in, std::size_t n);
+
 // Quantizes n floats into ternary {-1, 0, +1} int8 values.
 // Returns M = max(|in|) * s. When the input is all zeros, M == 0 and the
 // output is all zeros. `out` must hold n int8 values.

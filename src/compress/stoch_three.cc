@@ -2,11 +2,11 @@
 
 #include <atomic>
 #include <cmath>
-#include <stdexcept>
 #include <vector>
 
 #include "compress/quartic.h"
 #include "compress/quantize3.h"
+#include "compress/three_lc.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -49,11 +49,7 @@ void StochThreeValueQE::EncodeImpl(const Tensor& in, Context& ctx,
   const auto n = static_cast<std::size_t>(in.num_elements());
   THREELC_CHECK_MSG(c.ternary_.size() == n, "context/tensor shape mismatch");
   const float* src = in.data();
-  float m = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float a = std::fabs(src[i]);
-    m = a > m ? a : m;
-  }
+  const float m = MaxAbs(src, n);
   std::int8_t* q = c.ternary_.data();
   if (m == 0.0f) {
     for (std::size_t i = 0; i < n; ++i) q[i] = 0;
@@ -82,16 +78,7 @@ void StochThreeValueQE::EncodeImpl(const Tensor& in, Context& ctx,
 }
 
 void StochThreeValueQE::Decode(ByteReader& in, Tensor& out) const {
-  const auto n = static_cast<std::size_t>(out.num_elements());
-  const float m = in.ReadF32();
-  const std::uint32_t len = in.ReadU32();
-  if (len != QuarticEncodedSize(n)) {
-    throw std::runtime_error("StochThreeValueQE decode: size mismatch");
-  }
-  util::ByteSpan payload = in.ReadSpan(len);
-  std::vector<std::int8_t> ternary(n);
-  QuarticDecode(payload, n, ternary.data());
-  Dequantize3(ternary.data(), n, m, out.data());
+  DecodeTernary(in, /*zero_run=*/false, out);
 }
 
 }  // namespace threelc::compress

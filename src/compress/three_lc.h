@@ -6,6 +6,19 @@
 //   (3) quartic encoding (5 ternary values per byte)
 //   (4) zero-run encoding (runs of byte 121 -> one byte 243..255)
 //
+// Encode runs these stages in two passes over the tensor, with no scratch
+// buffers and no per-call allocation. Pass 1 adds the input into the
+// buffer in place and takes max|buffer|. Pass 2 walks 80-element blocks:
+// it quantizes each, leaves the remaining error in the buffer, packs 16
+// quartic bytes and feeds them to a streaming zero-run writer that writes
+// straight into the output. A block whose every |v| < M/2 is all zeros and
+// leaves the buffer as it is, so it only extends the current zero run.
+// Decode is one pass over the payload. The hot loops have AVX2 variants
+// chosen at run time (three_lc_kernels.h). Every byte, residual and decoded
+// value equals the stage-by-stage composition of quantize3.h, quartic.h
+// and zero_run.h (three_lc_oracle_test checks it against the paper's
+// equations).
+//
 // Wire format per tensor:
 //   [f32 M][u32 payload_len][payload bytes]
 // where payload is the (optionally zero-run-encoded) quartic bytes. The
@@ -50,5 +63,13 @@ class ThreeLC final : public Compressor {
  private:
   ThreeLCOptions options_;
 };
+
+// Decodes one [f32 M][u32 len][payload] ternary payload into `out` (shape
+// preset) in one pass: `zero_run` says whether the payload is zero-run
+// encoded quartic bytes or bare quartic bytes. Throws std::runtime_error
+// (std::out_of_range for a length past the buffer) on a malformed payload;
+// `out` may then hold a partial decode. StochThreeValueQE uses it too, as
+// its payload has the no-ZRE layout.
+void DecodeTernary(ByteReader& in, bool zero_run, Tensor& out);
 
 }  // namespace threelc::compress

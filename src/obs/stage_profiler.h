@@ -14,9 +14,9 @@
 //    happens the first time a thread sees a new (parent, name) pair.
 //  - Stages are hierarchical: a ScopedStage opened while another is live
 //    on the same thread becomes its child, and the stage's identity is the
-//    full path ("server_step/decode/3lc_decode/zre"). The same leaf name
-//    under different parents is a different stage, which is how one codec
-//    instrumentation serves both the push and pull directions.
+//    full path ("server_step/encode/3lc_encode/quantize"). The same leaf
+//    name under different parents is a different stage, which is how one
+//    codec instrumentation serves both the push and pull directions.
 //  - Snapshot() merges every thread's accumulators outside the hot path
 //    (the scraping thread pays the cost, not the step loop). Counts and
 //    totals may be torn by in-flight recordings — profiling tolerance, not

@@ -89,7 +89,10 @@ void ParameterServer::PreparePulls(std::vector<compress::EncodeStats>* stats) {
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
     const tensor::Tensor& value = *params_[i].value;
-    slot.delta = tensor::Difference(value, slot.prev_value);
+    float* delta = slot.delta.data();
+    const float* now = value.data();
+    const float* prev = slot.prev_value.data();
+    for (std::size_t k = 0; k < value.size(); ++k) delta[k] = now[k] - prev[k];
     slot.pull_payload.Clear();
     if (plan_->entry(i).compressed) {
       codec_->Encode(slot.delta, *slot.pull_ctx, slot.pull_payload,

@@ -52,17 +52,6 @@ void Mul(Tensor& dst, const Tensor& src) {
   for (std::size_t i = 0; i < n; ++i) d[i] *= s[i];
 }
 
-Tensor Difference(const Tensor& a, const Tensor& b) {
-  CheckSameShape(a, b);
-  Tensor out(a.shape());
-  float* o = out.data();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  const std::size_t n = a.size();
-  for (std::size_t i = 0; i < n; ++i) o[i] = pa[i] - pb[i];
-  return out;
-}
-
 float MaxAbs(const Tensor& t) {
   const float* p = t.data();
   const std::size_t n = t.size();

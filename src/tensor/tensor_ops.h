@@ -24,8 +24,6 @@ void Axpy(Tensor& dst, float alpha, const Tensor& src);
 void Scale(Tensor& dst, float alpha);
 // Elementwise product: dst *= src.
 void Mul(Tensor& dst, const Tensor& src);
-// out = a - b (allocates).
-Tensor Difference(const Tensor& a, const Tensor& b);
 
 // max(|t|); 0 for empty tensors.
 float MaxAbs(const Tensor& t);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "compress/factory.h"
 #include "tensor/tensor_ops.h"
@@ -109,6 +111,91 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzCase{"threelc175", CodecConfig::ThreeLC(1.75f)},
                       FuzzCase{"threelc190", CodecConfig::ThreeLC(1.9f)}),
     [](const ::testing::TestParamInfo<FuzzCase>& info) {
+      return info.param.label;
+    });
+
+// ---------- Targeted cases for the one-pass ternary decoder ----------
+
+// Codecs whose payload is [f32 M][u32 len][quartic or ZRE bytes].
+struct TernaryCase {
+  const char* label;
+  CodecConfig config;
+};
+
+CodecConfig ThreeLCNoZre() {
+  CodecConfig c = CodecConfig::ThreeLC(1.0f);
+  c.zero_run = false;
+  return c;
+}
+
+class TernaryDecodeRejects : public ::testing::TestWithParam<TernaryCase> {
+ protected:
+  static constexpr std::size_t kElements = 52;  // 11 groups, last partial
+  static constexpr std::size_t kGroups = 11;
+
+  // [M = 0.5][len][bytes], with len = bytes.size() unless given.
+  static util::ByteBuffer Payload(const std::vector<std::uint8_t>& bytes,
+                                  std::size_t len = SIZE_MAX) {
+    util::ByteBuffer out;
+    out.AppendF32(0.5f);
+    out.AppendU32(static_cast<std::uint32_t>(len == SIZE_MAX ? bytes.size()
+                                                             : len));
+    out.Append(bytes.data(), bytes.size());
+    return out;
+  }
+
+  // Decode must throw std::runtime_error or std::out_of_range; any other
+  // outcome fails the test.
+  void ExpectRejected(const util::ByteBuffer& payload) const {
+    auto codec = MakeCompressor(GetParam().config);
+    Tensor out(Shape{static_cast<std::int64_t>(kElements)});
+    util::ByteReader reader(payload.span());
+    try {
+      codec->Decode(reader, out);
+      ADD_FAILURE() << "malformed payload decoded without an error";
+    } catch (const std::runtime_error&) {
+    } catch (const std::out_of_range&) {
+    }
+  }
+};
+
+TEST_P(TernaryDecodeRejects, RunOvershootsTheLastGroupByOne) {
+  // 10 literal groups, then a run of 2 (byte 243): 12 groups for 11.
+  std::vector<std::uint8_t> bytes(kGroups - 1, 122);
+  bytes.push_back(243);
+  ExpectRejected(Payload(bytes));
+}
+
+TEST_P(TernaryDecodeRejects, RunsFarPastTheEnd) {
+  // The first 14-group run already passes the 11 groups; the decoder must
+  // stop there rather than fill from past the end.
+  ExpectRejected(Payload({255, 255, 255}));
+}
+
+TEST_P(TernaryDecodeRejects, StreamOneGroupShort) {
+  ExpectRejected(Payload(std::vector<std::uint8_t>(kGroups - 1, 122)));
+}
+
+TEST_P(TernaryDecodeRejects, NoZrePayloadContainingByte243) {
+  // Right length for bare quartic bytes, but 243 is no quartic byte; read
+  // as a run of 2 it makes 12 groups.
+  std::vector<std::uint8_t> bytes(kGroups, 122);
+  bytes[5] = 243;
+  ExpectRejected(Payload(bytes));
+}
+
+TEST_P(TernaryDecodeRejects, LengthFieldPastTheBuffer) {
+  ExpectRejected(
+      Payload(std::vector<std::uint8_t>(kGroups, 122), kGroups + 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TernaryCodecs, TernaryDecodeRejects,
+    ::testing::Values(
+        TernaryCase{"threelc100_zre", CodecConfig::ThreeLC(1.0f)},
+        TernaryCase{"threelc100_nozre", ThreeLCNoZre()},
+        TernaryCase{"stoch3", CodecConfig::StochThreeQE()}),
+    [](const ::testing::TestParamInfo<TernaryCase>& info) {
       return info.param.label;
     });
 

@@ -135,15 +135,6 @@ TEST(TensorOps, MulElementwise) {
   EXPECT_EQ(a[1], 12.0f);
 }
 
-TEST(TensorOps, DifferenceAllocates) {
-  Tensor a = Tensor::FromVector({3, 1});
-  Tensor b = Tensor::FromVector({1, 1});
-  Tensor d = Difference(a, b);
-  EXPECT_EQ(d[0], 2.0f);
-  EXPECT_EQ(d[1], 0.0f);
-  EXPECT_EQ(a[0], 3.0f);  // inputs untouched
-}
-
 // ---------- Reductions ----------
 
 TEST(TensorOps, MaxAbsFindsMagnitude) {
