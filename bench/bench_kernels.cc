@@ -173,6 +173,69 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c)->Arg(64 << 10)->Arg(1470504);
 
+// The dense layers' products at the benchmark MLP's batch-8 shapes
+// (192 -> 512 -> 512 -> 10): Args are {batch, in, out}. Forward is
+// Y = X W (Matmul), the weight gradient X^T dY (MatmulTransA), the input
+// gradient dY W^T (MatmulTransB).
+struct DenseOperands {
+  explicit DenseOperands(const benchmark::State& state)
+      : batch(state.range(0)), in(state.range(1)), out(state.range(2)) {
+    util::Rng rng(3);
+    tensor::FillNormal(x, rng, 0.0f, 1.0f);
+    tensor::FillNormal(w, rng, 0.0f, 0.05f);
+    tensor::FillNormal(dy, rng, 0.0f, 1.0f);
+  }
+  void SetFlops(benchmark::State& state) const {
+    state.counters["GFLOP/s"] = benchmark::Counter(
+        2e-9 * static_cast<double>(batch * in * out) *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+  }
+  std::int64_t batch, in, out;
+  tensor::Tensor x{tensor::Shape{batch, in}}, w{tensor::Shape{in, out}},
+      dy{tensor::Shape{batch, out}};
+};
+
+void DenseShapes(benchmark::internal::Benchmark* b) {
+  b->Args({8, 192, 512})->Args({8, 512, 512})->Args({8, 512, 10});
+}
+
+void BM_Matmul(benchmark::State& state) {
+  const DenseOperands o(state);
+  tensor::Tensor y(tensor::Shape{o.batch, o.out});
+  for (auto _ : state) {
+    tensor::Matmul(o.x, o.w, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  o.SetFlops(state);
+}
+BENCHMARK(BM_Matmul)->Apply(DenseShapes);
+
+void BM_MatmulTransA(benchmark::State& state) {
+  const DenseOperands o(state);
+  tensor::Tensor dw(tensor::Shape{o.in, o.out});
+  for (auto _ : state) {
+    tensor::MatmulTransA(o.x, o.dy, dw);
+    benchmark::DoNotOptimize(dw.data());
+    benchmark::ClobberMemory();
+  }
+  o.SetFlops(state);
+}
+BENCHMARK(BM_MatmulTransA)->Apply(DenseShapes);
+
+void BM_MatmulTransB(benchmark::State& state) {
+  const DenseOperands o(state);
+  tensor::Tensor dx(tensor::Shape{o.batch, o.in});
+  for (auto _ : state) {
+    tensor::MatmulTransB(o.dy, o.w, dx);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+  o.SetFlops(state);
+}
+BENCHMARK(BM_MatmulTransB)->Apply(DenseShapes);
+
 // Full-codec encode throughput for every compared design — the per-value
 // CPU cost column behind Table 1's computation-overhead story.
 void BM_CodecEncode(benchmark::State& state,

@@ -6,12 +6,6 @@
 
 namespace threelc::nn {
 
-void Layer::ZeroGrads() {
-  for (auto& p : Params()) {
-    if (p.grad != nullptr) p.grad->SetZero();
-  }
-}
-
 void HeInit(Tensor& w, std::int64_t fan_in, util::Rng& rng) {
   const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
   tensor::FillNormal(w, rng, 0.0f, stddev);

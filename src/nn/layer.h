@@ -40,8 +40,9 @@ class Layer {
   // Implementations may cache activations needed by Backward.
   virtual Tensor Forward(const Tensor& input, bool training) = 0;
 
-  // Backward pass: consumes dL/d(output), fills parameter gradients, and
-  // returns dL/d(input). Must follow a Forward call on the same batch.
+  // Backward pass: consumes dL/d(output), overwrites every parameter
+  // gradient (it never accumulates into one), and returns dL/d(input).
+  // Must follow a Forward call on the same batch.
   virtual Tensor Backward(const Tensor& grad_output) = 0;
 
   // Parameter tensors (empty for stateless layers).
@@ -51,9 +52,6 @@ class Layer {
   // distributed setup one designated worker owns these and the trainer
   // copies them onto the global model before evaluation (paper §5.2).
   virtual std::vector<Tensor*> Buffers() { return {}; }
-
-  // Zero all parameter gradients.
-  void ZeroGrads();
 };
 
 // He-normal initialization for weight tensors feeding ReLU units:

@@ -37,10 +37,6 @@ std::int64_t Model::NumParameters() {
   return n;
 }
 
-void Model::ZeroGrads() {
-  for (auto& layer : layers_) layer->ZeroGrads();
-}
-
 std::vector<Tensor*> Model::Buffers() {
   std::vector<Tensor*> buffers;
   for (auto& layer : layers_) {
@@ -74,7 +70,6 @@ void Model::CopyBuffersFrom(Model& other) {
 
 LossResult Model::TrainStep(const Tensor& input,
                             const std::vector<std::int32_t>& labels) {
-  ZeroGrads();
   Tensor logits = Forward(input, /*training=*/true);
   LossResult result = SoftmaxCrossEntropy(logits, labels);
   Backward(result.grad_logits);

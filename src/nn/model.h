@@ -40,7 +40,6 @@ class Model {
   std::vector<ParamRef> Params();
   // Total number of scalar parameters.
   std::int64_t NumParameters();
-  void ZeroGrads();
 
   // All non-trainable buffers (batch-norm running statistics).
   std::vector<Tensor*> Buffers();

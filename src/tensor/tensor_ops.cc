@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "tensor/matmul_kernels.h"
 #include "util/logging.h"
 
 namespace threelc::tensor {
@@ -122,19 +123,7 @@ void Matmul(const Tensor& a, const Tensor& b, Tensor& c) {
   THREELC_CHECK_MSG(b.shape().dim(0) == k && c.shape().dim(0) == m &&
                         c.shape().dim(1) == n,
                     "matmul shape mismatch");
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  // ikj loop order: unit-stride inner loop over B and C rows.
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* crow = pc + i * n;
-    for (std::int64_t j = 0; j < n; ++j) crow[j] = 0.0f;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float aik = pa[i * k + kk];
-      const float* brow = pb + kk * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
+  internal::Kernels().matmul(a.data(), b.data(), c.data(), m, k, n);
 }
 
 void MatmulTransA(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -145,19 +134,7 @@ void MatmulTransA(const Tensor& a, const Tensor& b, Tensor& c) {
   THREELC_CHECK_MSG(b.shape().dim(0) == m && c.shape().dim(0) == k &&
                         c.shape().dim(1) == n,
                     "matmul(T,·) shape mismatch");
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::int64_t i = 0; i < k * n; ++i) pc[i] = 0.0f;
-  for (std::int64_t row = 0; row < m; ++row) {
-    const float* arow = pa + row * k;
-    const float* brow = pb + row * n;
-    for (std::int64_t i = 0; i < k; ++i) {
-      const float aval = arow[i];
-      float* crow = pc + i * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
-    }
-  }
+  internal::Kernels().matmul_trans_a(a.data(), b.data(), c.data(), m, k, n);
 }
 
 void MatmulTransB(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -168,18 +145,7 @@ void MatmulTransB(const Tensor& a, const Tensor& b, Tensor& c) {
   THREELC_CHECK_MSG(b.shape().dim(1) == n && c.shape().dim(0) == m &&
                         c.shape().dim(1) == k,
                     "matmul(·,T) shape mismatch");
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * n;
-    for (std::int64_t j = 0; j < k; ++j) {
-      const float* brow = pb + j * n;
-      float acc = 0.0f;
-      for (std::int64_t t = 0; t < n; ++t) acc += arow[t] * brow[t];
-      pc[i * k + j] = acc;
-    }
-  }
+  internal::Kernels().matmul_trans_b(a.data(), b.data(), c.data(), m, n, k);
 }
 
 void FillNormal(Tensor& t, util::Rng& rng, float mean, float stddev) {

@@ -1,9 +1,14 @@
-// Vectorizable kernels over Tensors.
+// Kernels over Tensors.
 //
-// Every loop here is a plain contiguous-array loop so the compiler can
-// auto-vectorize it — mirroring the paper's argument that 3LC only needs
-// stock vectorized operations (§3.1). Shape agreement is checked once at
-// entry; inner loops are branch-free.
+// The elementwise ops (Add, Sub, Axpy, Scale, Mul) are plain
+// contiguous-array loops that GCC auto-vectorizes under the build's
+// -fvect-cost-model=dynamic (its -O2 default vectorizes none of them) and
+// Clang at -O2. The three matmuls dispatch to matmul_kernels.h: AVX2 when
+// the CPU has it, else the scalar loops. Both stay bitwise equal to the
+// scalar loops: each output element gets the same IEEE operations in the
+// same order, with no FMA (-ffp-contract=off) and no reassociation. The
+// float reductions (MaxAbs, Sum, ...) stay scalar, since vectorizing them
+// would reorder their sums. Shape agreement is checked once at entry.
 #pragma once
 
 #include <cstddef>

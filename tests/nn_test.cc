@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -477,6 +478,37 @@ TEST(Model, CnnForwardBackwardShapes) {
   for (const auto& p : model.Params()) {
     EXPECT_TRUE(std::isfinite(tensor::Sum(*p.grad))) << p.name;
   }
+}
+
+// Backward overwrites every gradient, so TrainStep needs no zeroing pass:
+// gradients poisoned with NaN beforehand come out bitwise equal to a fresh
+// model's.
+void ExpectTrainStepOverwritesGrads(const std::function<Model()>& build,
+                                    const Tensor& in,
+                                    const std::vector<std::int32_t>& labels) {
+  Model poisoned = build();
+  Model fresh = build();
+  for (const auto& p : poisoned.Params()) p.grad->Fill(std::nanf(""));
+  poisoned.TrainStep(in, labels);
+  fresh.TrainStep(in, labels);
+  const auto got = poisoned.Params();
+  const auto want = fresh.Params();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::memcmp(got[i].grad->data(), want[i].grad->data(),
+                          got[i].grad->size() * sizeof(float)),
+              0)
+        << got[i].name;
+  }
+}
+
+TEST(Model, TrainStepOverwritesStaleGrads) {
+  ExpectTrainStepOverwritesGrads(
+      [] { return train::BuildMlp({12, {16, 8}, 5, true}, 21); },
+      RandomTensor(Shape{6, 12}, 22), {0, 1, 2, 3, 4, 0});
+  ExpectTrainStepOverwritesGrads(
+      [] { return train::BuildCnn({3, 8, 8, 4, 3, 16, 10}, 23); },
+      RandomTensor(Shape{2, 3, 8, 8}, 24), {7, 2});
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
+#include "tensor/matmul_kernels.h"
 #include "tensor/shape.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -269,6 +273,93 @@ TEST(MatmulTransB, MatchesExplicitTranspose) {
   MatmulTransB(a, b, c);
   NaiveMatmul(a, bt, ref);
   EXPECT_LT(MaxAbsDiff(c, ref), 1e-4f);
+}
+
+// ---------- Matmul kernels: dispatched vs scalar ----------
+
+// Gaussian values with every 7th a +0, every 11th a -0, every 13th a
+// denormal, plus one -inf (in A) or one NaN (in B) at a seeded position.
+std::vector<float> KernelInput(std::size_t n, std::uint64_t seed,
+                               float special) {
+  util::Rng rng(seed);
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = rng.NormalFloat(0.0f, 1.0f);
+    if (i % 7 == 3) v[i] = 0.0f;
+    if (i % 11 == 5) v[i] = -0.0f;
+    if (i % 13 == 6) v[i] *= 1e-39f;
+  }
+  if (n > 0) v[rng.Below(n)] = special;
+  return v;
+}
+
+// Bit-for-bit equality, so signed zeros, denormals and infinities count.
+// The one exception is which NaN comes out where two NaNs meet (here -inf*0
+// plus the input NaN): IEEE 754 leaves that payload open and compilers
+// commute float adds, so neither variant pins it. A NaN must still match a
+// NaN.
+::testing::AssertionResult SameBits(const std::vector<float>& got,
+                                    const std::vector<float>& want) {
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::isnan(got[i]) && std::isnan(want[i])) continue;
+    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "first difference at " << i << ": " << got[i] << " vs "
+             << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(MatmulKernels, DispatchedMatchesScalarBitwise) {
+  const internal::MatmulKernels& fast = internal::Kernels();
+  const internal::MatmulKernels& scalar = internal::ScalarKernels();
+  struct Dims {
+    std::int64_t m, k, n;
+  };
+  std::vector<Dims> shapes;
+  for (std::int64_t m : {1, 7, 8, 9, 17}) {
+    for (std::int64_t k : {1, 3, 192}) {
+      for (std::int64_t n : {1, 10, 31, 32, 33, 512}) {
+        shapes.push_back({m, k, n});
+      }
+    }
+  }
+  // The benchmark MLP (192 -> 512 -> 512 -> 10) at batch 8.
+  shapes.push_back({8, 192, 512});
+  shapes.push_back({8, 512, 512});
+  shapes.push_back({8, 512, 10});
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::uint64_t seed = 1;
+  for (const Dims& d : shapes) {
+    const auto m = static_cast<std::size_t>(d.m);
+    const auto k = static_cast<std::size_t>(d.k);
+    const auto n = static_cast<std::size_t>(d.n);
+    SCOPED_TRACE(::testing::Message() << "m=" << m << " k=" << k
+                                      << " n=" << n);
+    // Matmul: A(m x k) * B(k x n).
+    auto a = KernelInput(m * k, seed++, -inf);
+    auto b = KernelInput(k * n, seed++, nan);
+    std::vector<float> got(m * n, 1.0f), want(m * n, 2.0f);
+    fast.matmul(a.data(), b.data(), got.data(), d.m, d.k, d.n);
+    scalar.matmul(a.data(), b.data(), want.data(), d.m, d.k, d.n);
+    EXPECT_TRUE(SameBits(got, want)) << "Matmul";
+    // MatmulTransA: A(m x k)^T * B(m x n).
+    b = KernelInput(m * n, seed++, nan);
+    got.assign(k * n, 1.0f);
+    want.assign(k * n, 2.0f);
+    fast.matmul_trans_a(a.data(), b.data(), got.data(), d.m, d.k, d.n);
+    scalar.matmul_trans_a(a.data(), b.data(), want.data(), d.m, d.k, d.n);
+    EXPECT_TRUE(SameBits(got, want)) << "MatmulTransA";
+    // MatmulTransB: A(m x k) * B(n x k)^T, a dot product of length k.
+    b = KernelInput(n * k, seed++, nan);
+    got.assign(m * n, 1.0f);
+    want.assign(m * n, 2.0f);
+    fast.matmul_trans_b(a.data(), b.data(), got.data(), d.m, d.k, d.n);
+    scalar.matmul_trans_b(a.data(), b.data(), want.data(), d.m, d.k, d.n);
+    EXPECT_TRUE(SameBits(got, want)) << "MatmulTransB";
+  }
 }
 
 // ---------- Random fills ----------
