@@ -35,7 +35,14 @@
 //   --inject-worker W    apply --inject to worker W only (default -1 =
 //                        every worker) — e.g. delay one worker's pushes to
 //                        make it the fleet's straggler on /clusterz
-//   --inject-server SPEC same, attached to the server's connections
+//   --inject-server SPEC same, attached to the server's connections; one
+//                        injector spans every server incarnation of the
+//                        process, so a fired rule stays spent after a
+//                        restart. "killserver:pull@K" crashes the server
+//                        between step K's checkpoint write and its fan-out
+//                        (the window where generation fallback is
+//                        bitwise-safe); --spawn resumes it like
+//                        --kill-server-step
 //   --inject-seed N      seed for the deterministic fault schedules
 //   --max-reconnects N   per-worker mid-run reconnect budget (default 5)
 //   --lease-ms N         liveness lease (protocol v6): a peer silent for N ms
@@ -82,11 +89,6 @@
 //                        by --inject-seed; one injector instance spans
 //                        server incarnations so call counters keep
 //                        advancing across restarts
-//   --kill-server-at-checkpoint K
-//                        server dies between step K's checkpoint write
-//                        and its fan-out (the window where generation
-//                        fallback is bitwise-safe); the supervisor
-//                        resumes it like --kill-server-step
 //   --corrupt-newest-on-resume
 //                        (spawn mode) flip one byte in the newest
 //                        checkpoint generation before the first resume,
@@ -102,6 +104,9 @@
 //       --compare --metrics-port 9109 --linger-ms 2000
 //   ./build/examples/distributed_training --spawn 3 --steps 20 --codec 3lc
 //       --grace-ms 10000 --kill-step 7 --kill-worker 1 --compare
+//   ./build/examples/distributed_training --spawn 2 --steps 10 --codec 3lc
+//       --grace-ms 30000 --inject-server killserver:pull@3
+//       --server-checkpoint state/ks.sckpt --state-dir state --compare
 //   ./build/examples/distributed_training --role server --port 7171 &
 //   ./build/examples/distributed_training --role worker --worker-id 0
 //       --port 7171
@@ -235,23 +240,27 @@ bool ModelsBitwiseEqual(nn::Model& a, nn::Model& b) {
   return true;
 }
 
-// Per-worker fault-tolerance knobs, all defaulting to "behave like PR 3".
-struct WorkerChaos {
-  std::int64_t exit_after_step = -1;  // simulate a crash after this step
-  // Resume checkpoint: written at the crash and on SIGTERM/SIGINT, read
-  // back on rejoin.
-  std::string checkpoint_path;
-  bool rejoin = false;  // resume via REJOIN from checkpoint_path
-  int max_reconnects = 5;
-  std::string inject_spec;
-  std::uint64_t inject_seed = 0;
-  int lease_ms = 0;
-  int heartbeat_ms = 0;
-};
+// The optional Telemetry the flags ask for (trace file, metrics file,
+// live monitoring); nullptr when none is requested.
+std::unique_ptr<obs::Telemetry> MakeTelemetry(const util::Flags& flags) {
+  const obs::TelemetryOptions opts = obs::TelemetryOptionsFromFlags(flags);
+  if (opts.trace_path.empty() && opts.metrics_path.empty() &&
+      !opts.monitoring_enabled()) {
+    return nullptr;
+  }
+  auto telemetry = std::make_unique<obs::Telemetry>(opts);
+  if (telemetry->http_server() != nullptr) {
+    std::printf("live monitoring on port %d\n",
+                telemetry->http_server()->port());
+  }
+  return telemetry;
+}
 
-int RunWorker(const Setup& setup, int worker_id, const std::string& host,
-              int port, obs::Telemetry* telemetry,
-              const WorkerChaos& chaos) {
+// One worker process, configured from the same flags whether --spawn
+// forked it or it runs as --role worker. `rejoin` restarts it from its
+// crash checkpoint in --state-dir (written by --kill-step or SIGTERM).
+int RunWorker(const Setup& setup, const util::Flags& flags, int worker_id,
+              int port, bool rejoin, obs::Telemetry* telemetry) {
   const train::TrainerConfig& tc = setup.config.trainer;
   nn::Model model =
       train::BuildMlp(setup.config.model, setup.config.model_seed);
@@ -270,33 +279,40 @@ int RunWorker(const Setup& setup, int worker_id, const std::string& host,
   for (int i = 0; i < worker_id; ++i) rng = seeder.Fork();
   data::Sampler sampler(setup.data.train, rng, tc.augment_noise);
 
-  rpc::FaultInjector injector(chaos.inject_seed);
-  rpc::FaultInjector* fault = nullptr;
-  if (!chaos.inject_spec.empty()) {
-    std::string spec_error;
-    if (!injector.AddRulesFromSpec(chaos.inject_spec, &spec_error)) {
-      std::fprintf(stderr, "worker %d: bad --inject spec: %s\n", worker_id,
-                   spec_error.c_str());
-      return 1;
-    }
-    fault = &injector;
-  }
-
   rpc::RpcWorkerConfig wc;
-  wc.host = host;
+  wc.host = flags.GetString("host", "127.0.0.1");
   wc.port = port;
   wc.worker_id = worker_id;
   wc.batch_size = tc.batch_size;
   wc.telemetry = telemetry;
-  wc.checkpoint_path = chaos.checkpoint_path;
-  wc.rejoin = chaos.rejoin;
-  wc.max_reconnects = chaos.max_reconnects;
-  wc.exit_after_step = chaos.exit_after_step;
+  wc.checkpoint_path = flags.GetString("state-dir", ".") + "/dt_worker" +
+                       std::to_string(worker_id) + ".ckpt";
+  wc.rejoin = rejoin;
+  wc.max_reconnects = static_cast<int>(flags.GetInt("max-reconnects", 5));
+  if (!rejoin && worker_id == flags.GetInt("kill-worker", 0)) {
+    wc.exit_after_step = flags.GetInt("kill-step", -1);  // crash only once
+  }
   wc.stop_flag = &g_stop;
-  wc.fault = fault;
   wc.block_codec = setup.block_codec;
-  wc.lease_ms = chaos.lease_ms;
-  wc.heartbeat_ms = chaos.heartbeat_ms;
+  wc.lease_ms = static_cast<int>(flags.GetInt("lease-ms", 0));
+  wc.heartbeat_ms = static_cast<int>(flags.GetInt("heartbeat-ms", 0));
+
+  // Per-worker stream: the combined schedule is still a pure function of
+  // --inject-seed, but workers don't mirror each other's faults.
+  rpc::FaultInjector injector(
+      static_cast<std::uint64_t>(flags.GetInt("inject-seed", 1)) +
+      static_cast<std::uint64_t>(worker_id));
+  const std::string inject = flags.GetString("inject", "");
+  const int inject_worker = static_cast<int>(flags.GetInt("inject-worker", -1));
+  if (!inject.empty() && (inject_worker < 0 || inject_worker == worker_id)) {
+    std::string spec_error;
+    if (!injector.AddRulesFromSpec(inject, &spec_error)) {
+      std::fprintf(stderr, "worker %d: bad --inject spec: %s\n", worker_id,
+                   spec_error.c_str());
+      return 1;
+    }
+    wc.fault = &injector;
+  }
   rpc::RpcWorker worker(wc, ps_worker, plan, codec->name(),
                         std::move(sampler));
   if (!worker.Run()) {
@@ -326,18 +342,16 @@ struct ServerParts {
   std::unique_ptr<ps::TensorPlan> plan;
   std::shared_ptr<const compress::Compressor> codec;
   std::unique_ptr<ps::ParameterServer> ps;
-  std::unique_ptr<rpc::FaultInjector> fault;
   std::unique_ptr<rpc::RpcServer> server;
 };
 
 // --server-checkpoint wins; killing the server without one would make the
-// crash unrecoverable, so --kill-server-step (and the storage-drill kill,
-// --kill-server-at-checkpoint) implies a default path under --state-dir.
+// crash unrecoverable, so --kill-server-step implies a default path under
+// --state-dir.
 std::string ServerCheckpointPath(const util::Flags& flags) {
   const std::string explicit_path = flags.GetString("server-checkpoint", "");
   if (!explicit_path.empty()) return explicit_path;
-  if (flags.GetInt("kill-server-step", -1) >= 0 ||
-      flags.GetInt("kill-server-at-checkpoint", -1) >= 0) {
+  if (flags.GetInt("kill-server-step", -1) >= 0) {
     return flags.GetString("state-dir", ".") + "/dt_server.sckpt";
   }
   return "";
@@ -359,6 +373,24 @@ std::unique_ptr<util::FaultFs> MakeServerFs(const util::Flags& flags) {
   THREELC_CHECK_MSG(fs->AddRulesFromSpec(spec, &spec_error),
                     "bad --fs-fault spec: " << spec_error);
   return fs;
+}
+
+// --inject-server: the server's frame-fault injector, built once per
+// process like MakeServerFs so it spans server incarnations — a rule that
+// fired (e.g. the killserver that crashed the previous incarnation) stays
+// spent when the resumed server replays that step.
+std::unique_ptr<rpc::FaultInjector> MakeServerInjector(
+    const util::Flags& flags) {
+  const std::string spec = flags.GetString("inject-server", "");
+  if (spec.empty()) return nullptr;
+  // Distinct stream from the workers' injectors so schedules don't
+  // accidentally mirror each other under a shared --inject-seed.
+  auto fault = std::make_unique<rpc::FaultInjector>(
+      static_cast<std::uint64_t>(flags.GetInt("inject-seed", 1)) ^ 0x5e4full);
+  std::string spec_error;
+  THREELC_CHECK_MSG(fault->AddRulesFromSpec(spec, &spec_error),
+                    "bad --inject-server spec: " << spec_error);
+  return fault;
 }
 
 // --corrupt-newest-on-resume: flip one byte in the middle of the newest
@@ -409,8 +441,8 @@ bool CorruptNewestGeneration(const std::string& ckpt_path) {
 }
 
 ServerParts MakeServerParts(const Setup& setup, const util::Flags& flags,
-                            obs::Telemetry* telemetry,
-                            util::Fs* fs = nullptr) {
+                            obs::Telemetry* telemetry, util::Fs* fs,
+                            rpc::FaultInjector* fault) {
   const train::TrainerConfig& tc = setup.config.trainer;
   ServerParts parts;
   parts.model = std::make_unique<nn::Model>(
@@ -441,22 +473,10 @@ ServerParts MakeServerParts(const Setup& setup, const util::Flags& flags,
       static_cast<int>(flags.GetInt("server-checkpoint-retain", 2));
   sc.fs = fs;
   sc.exit_after_step = flags.GetInt("kill-server-step", -1);
-  sc.exit_at_checkpoint = flags.GetInt("kill-server-at-checkpoint", -1);
   sc.stop_flag = &g_stop;
+  sc.fault = fault;
   sc.telemetry = telemetry;
   sc.block_codec = setup.block_codec;
-  const std::string inject = flags.GetString("inject-server", "");
-  if (!inject.empty()) {
-    // Distinct stream from the workers' injectors so schedules don't
-    // accidentally mirror each other under a shared --inject-seed.
-    parts.fault = std::make_unique<rpc::FaultInjector>(
-        static_cast<std::uint64_t>(flags.GetInt("inject-seed", 1)) ^
-        0x5e4full);
-    std::string spec_error;
-    THREELC_CHECK_MSG(parts.fault->AddRulesFromSpec(inject, &spec_error),
-                      "bad --inject-server spec: " << spec_error);
-    sc.fault = parts.fault.get();
-  }
   parts.server =
       std::make_unique<rpc::RpcServer>(sc, *parts.ps, parts.codec->name());
   return parts;
@@ -480,15 +500,6 @@ int RunSpawn(const util::Flags& flags) {
   const std::int64_t kill_step = flags.GetInt("kill-step", -1);
   const int kill_worker = static_cast<int>(flags.GetInt("kill-worker", 0));
   const bool restart_killed = flags.GetBool("restart-killed", true);
-  const std::string state_dir = flags.GetString("state-dir", ".");
-  const std::string inject = flags.GetString("inject", "");
-  const int inject_worker = static_cast<int>(flags.GetInt("inject-worker", -1));
-  const auto inject_seed =
-      static_cast<std::uint64_t>(flags.GetInt("inject-seed", 1));
-  const int max_reconnects =
-      static_cast<int>(flags.GetInt("max-reconnects", 5));
-  const int lease_ms = static_cast<int>(flags.GetInt("lease-ms", 0));
-  const int heartbeat_ms = static_cast<int>(flags.GetInt("heartbeat-ms", 0));
 
   // --sigstop-worker W@STEP: a real hung-process drill. The worker keeps
   // its socket open but stops making progress, which nothing below the
@@ -535,23 +546,8 @@ int RunSpawn(const util::Flags& flags) {
     const pid_t pid = fork();
     if (pid != 0) return pid;
     close(listen_fd);
-    WorkerChaos chaos;
-    chaos.max_reconnects = max_reconnects;
-    if (inject_worker < 0 || inject_worker == w) chaos.inject_spec = inject;
-    // Per-worker stream: the combined schedule is still a pure function of
-    // --inject-seed, but workers don't mirror each other's faults.
-    chaos.inject_seed = inject_seed + static_cast<std::uint64_t>(w);
-    // Written by a simulated crash or a SIGTERM, read back on rejoin.
-    chaos.checkpoint_path =
-        state_dir + "/dt_worker" + std::to_string(w) + ".ckpt";
-    if (kill_step >= 0 && w == kill_worker && !rejoin) {
-      chaos.exit_after_step = kill_step;  // crash only once
-    }
-    chaos.rejoin = rejoin;
-    chaos.lease_ms = lease_ms;
-    chaos.heartbeat_ms = heartbeat_ms;
-    _exit(RunWorker(setup, w, host, bound_port, /*telemetry=*/nullptr,
-                    chaos));
+    _exit(RunWorker(setup, flags, w, bound_port, rejoin,
+                    /*telemetry=*/nullptr));
   };
 
   struct ChildSlot {
@@ -569,30 +565,15 @@ int RunSpawn(const util::Flags& flags) {
     slots[static_cast<std::size_t>(w)] = {pid, true, false};
   }
 
-  std::unique_ptr<obs::Telemetry> telemetry;
-  try {
-    obs::TelemetryOptions opts = obs::TelemetryOptionsFromFlags(flags);
-    if (opts.trace_path.empty() && opts.metrics_path.empty() &&
-        !opts.monitoring_enabled()) {
-      // No telemetry requested.
-    } else {
-      telemetry = std::make_unique<obs::Telemetry>(opts);
-      if (telemetry->http_server() != nullptr) {
-        std::printf("live monitoring on port %d\n",
-                    telemetry->http_server()->port());
-      }
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "telemetry setup failed: %s\n", e.what());
-    close(listen_fd);
-    return 1;
-  }
+  std::unique_ptr<obs::Telemetry> telemetry = MakeTelemetry(flags);
 
-  // One storage-fault injector for the whole supervised run: its call
-  // counters and latches persist across server incarnations.
+  // One storage-fault and one frame-fault injector for the whole
+  // supervised run: their counters and latches persist across server
+  // incarnations.
   std::unique_ptr<util::FaultFs> server_fs = MakeServerFs(flags);
+  std::unique_ptr<rpc::FaultInjector> server_fault = MakeServerInjector(flags);
   ServerParts parts = MakeServerParts(setup, flags, telemetry.get(),
-                                      server_fs.get());
+                                      server_fs.get(), server_fault.get());
   parts.server->AdoptListener(listen_fd, bound_port);
 
   // Reap children continuously while the server runs: a worker that dies
@@ -742,7 +723,7 @@ int RunSpawn(const util::Flags& flags) {
       }
     }
     ServerParts next = MakeServerParts(setup, flags, telemetry.get(),
-                                       server_fs.get());
+                                       server_fs.get(), server_fault.get());
     std::string resume_error;
     if (!next.server->ResumeFromCheckpoint(server_ckpt, &resume_error)) {
       std::fprintf(stderr, "cannot resume server: %s\n",
@@ -886,34 +867,10 @@ int main(int argc, char** argv) {
         return 1;
       }
       Setup setup = MakeSetup(flags, num_workers);
-      std::unique_ptr<obs::Telemetry> telemetry;
-      obs::TelemetryOptions opts = obs::TelemetryOptionsFromFlags(flags);
-      if (!opts.trace_path.empty() || !opts.metrics_path.empty() ||
-          opts.monitoring_enabled()) {
-        telemetry = std::make_unique<obs::Telemetry>(opts);
-      }
-      WorkerChaos chaos;
-      chaos.max_reconnects =
-          static_cast<int>(flags.GetInt("max-reconnects", 5));
-      const int inject_worker =
-          static_cast<int>(flags.GetInt("inject-worker", -1));
-      if (inject_worker < 0 || inject_worker == worker_id) {
-        chaos.inject_spec = flags.GetString("inject", "");
-      }
-      chaos.inject_seed = static_cast<std::uint64_t>(
-                              flags.GetInt("inject-seed", 1)) +
-                          static_cast<std::uint64_t>(worker_id);
-      chaos.rejoin = flags.GetBool("rejoin", false);
-      chaos.checkpoint_path = flags.GetString("state-dir", ".") +
-                              "/dt_worker" + std::to_string(worker_id) +
-                              ".ckpt";
-      if (!chaos.rejoin) chaos.exit_after_step = flags.GetInt("kill-step", -1);
-      chaos.lease_ms = static_cast<int>(flags.GetInt("lease-ms", 0));
-      chaos.heartbeat_ms =
-          static_cast<int>(flags.GetInt("heartbeat-ms", 0));
-      const int rc = RunWorker(setup, worker_id,
-                               flags.GetString("host", "127.0.0.1"), port,
-                               telemetry.get(), chaos);
+      std::unique_ptr<obs::Telemetry> telemetry = MakeTelemetry(flags);
+      const int rc =
+          RunWorker(setup, flags, worker_id, port,
+                    flags.GetBool("rejoin", false), telemetry.get());
       if (telemetry != nullptr) telemetry->Flush();
       return rc;
     }
@@ -921,15 +878,12 @@ int main(int argc, char** argv) {
     if (role == "server") {
       const int num_workers = static_cast<int>(flags.GetInt("workers", 3));
       Setup setup = MakeSetup(flags, num_workers);
-      std::unique_ptr<obs::Telemetry> telemetry;
-      obs::TelemetryOptions opts = obs::TelemetryOptionsFromFlags(flags);
-      if (!opts.trace_path.empty() || !opts.metrics_path.empty() ||
-          opts.monitoring_enabled()) {
-        telemetry = std::make_unique<obs::Telemetry>(opts);
-      }
+      std::unique_ptr<obs::Telemetry> telemetry = MakeTelemetry(flags);
       std::unique_ptr<util::FaultFs> server_fs = MakeServerFs(flags);
+      std::unique_ptr<rpc::FaultInjector> server_fault =
+          MakeServerInjector(flags);
       ServerParts parts = MakeServerParts(setup, flags, telemetry.get(),
-                                          server_fs.get());
+                                          server_fs.get(), server_fault.get());
       std::string error;
       int rc = 0;
       bool completed = false;

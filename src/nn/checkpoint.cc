@@ -76,7 +76,7 @@ void EndBlob(util::ByteBuffer& blob) {
                               blob.size() - kHeaderBytes));
 }
 
-void AppendBytes(util::ByteBuffer& blob, const std::vector<std::uint8_t>& v) {
+void AppendBytes(util::ByteBuffer& blob, util::ByteSpan v) {
   blob.AppendU32(static_cast<std::uint32_t>(v.size()));
   blob.Append(v.data(), v.size());
 }
@@ -328,7 +328,7 @@ void WriteServerStateSection(util::ByteBuffer& blob, const ServerState& state) {
   for (const auto& entry : state.replay) {
     blob.AppendU64(entry.step);
     blob.AppendU32(static_cast<std::uint32_t>(entry.frames.size()));
-    for (const auto& frame : entry.frames) AppendBytes(blob, frame);
+    for (const auto& frame : entry.frames) AppendBytes(blob, frame.span());
   }
 }
 
@@ -347,7 +347,10 @@ void ReadServerStateSection(util::ByteReader& in, ServerState* state) {
   for (auto& entry : state->replay) {
     entry.step = in.ReadU64();
     entry.frames.resize(ReadCount(in, 4, "frame count"));
-    for (auto& frame : entry.frames) frame = ReadBytes(in, "frame size");
+    for (auto& frame : entry.frames) {
+      frame.Clear();
+      frame.Append(in.ReadSpan(ReadCount(in, 1, "frame size")));
+    }
   }
 }
 

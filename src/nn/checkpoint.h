@@ -60,6 +60,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -133,12 +134,14 @@ struct ServerState {
   std::vector<std::uint8_t> evicted;
   std::vector<std::uint8_t> greeted;
   // Retained pull fan-out frames of recent steps, oldest first: each entry
-  // is one completed step's per-tensor encoded frame bytes.
+  // is one completed step's per-tensor encoded frame bytes. A ring (the
+  // live server pushes at the back and pops at the front) so the server
+  // can keep its replay ring here and checkpoint it without a copy.
   struct ReplayStep {
     std::uint64_t step = 0;
-    std::vector<std::vector<std::uint8_t>> frames;
+    std::vector<util::ByteBuffer> frames;
   };
-  std::vector<ReplayStep> replay;
+  std::deque<ReplayStep> replay;
 };
 
 // Writes a server checkpoint ("3LCS", version 1, CRC32C trailer) —

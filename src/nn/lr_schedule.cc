@@ -20,16 +20,4 @@ float CosineDecay::At(std::int64_t step) const {
   return static_cast<float>(lr_min_ + (lr_max_ - lr_min_) * cos_term);
 }
 
-StepwiseDecay::StepwiseDecay(float lr_max, std::int64_t total_steps)
-    : lr_max_(lr_max), total_steps_(total_steps) {
-  THREELC_CHECK(total_steps >= 1);
-}
-
-float StepwiseDecay::At(std::int64_t step) const {
-  const double t = static_cast<double>(step) / static_cast<double>(total_steps_);
-  if (t < 0.5) return lr_max_;
-  if (t < 0.75) return lr_max_ * 0.1f;
-  return lr_max_ * 0.01f;
-}
-
 }  // namespace threelc::nn

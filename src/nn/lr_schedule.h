@@ -11,44 +11,16 @@
 
 namespace threelc::nn {
 
-class LrSchedule {
- public:
-  virtual ~LrSchedule() = default;
-  // Learning rate at training step `step` in [0, total_steps).
-  virtual float At(std::int64_t step) const = 0;
-};
-
 // lr(t) = lr_min + (lr_max - lr_min) * 0.5 * (1 + cos(pi * t / T)).
-class CosineDecay final : public LrSchedule {
+class CosineDecay {
  public:
   CosineDecay(float lr_max, float lr_min, std::int64_t total_steps);
-  float At(std::int64_t step) const override;
+  // Learning rate at training step `step` in [0, total_steps).
+  float At(std::int64_t step) const;
 
  private:
   float lr_max_, lr_min_;
   std::int64_t total_steps_;
-};
-
-// The original ResNet stepwise decay (kept for comparison runs): lr_max
-// until 50% of steps, /10 until 75%, /100 afterwards.
-class StepwiseDecay final : public LrSchedule {
- public:
-  StepwiseDecay(float lr_max, std::int64_t total_steps);
-  float At(std::int64_t step) const override;
-
- private:
-  float lr_max_;
-  std::int64_t total_steps_;
-};
-
-// Constant rate (for unit tests and toy examples).
-class ConstantLr final : public LrSchedule {
- public:
-  explicit ConstantLr(float lr) : lr_(lr) {}
-  float At(std::int64_t) const override { return lr_; }
-
- private:
-  float lr_;
 };
 
 }  // namespace threelc::nn

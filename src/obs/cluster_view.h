@@ -42,24 +42,23 @@ class FlightRecorder;
 enum class StragglerCause : std::uint8_t { kCompute = 0, kEncode, kNetwork };
 const char* StragglerCauseName(StragglerCause cause);
 
-// One worker's per-step telemetry record, as decoded from a TELEMETRY
-// frame. Mirrors rpc::TelemetryPayload; duplicated here so obs/ stays
-// independent of the wire layer (rpc/ depends on obs/, not vice versa).
+// One worker's per-step telemetry record, as carried by a TELEMETRY frame
+// (rpc::EncodeTelemetry / DecodeTelemetry).
 struct WorkerStepRecord {
   std::uint64_t step = 0;
-  std::uint64_t forward_backward_ns = 0;
-  std::uint64_t encode_ns = 0;
-  std::uint64_t push_ns = 0;
-  std::uint64_t pull_wait_ns = 0;
-  std::uint64_t decode_ns = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t bytes_in = 0;
+  std::uint64_t forward_backward_ns = 0;  // sampler + TrainStep
+  std::uint64_t encode_ns = 0;            // EncodePush over all tensors
+  std::uint64_t push_ns = 0;              // send + flush of PUSH/STEP_STATS
+  std::uint64_t pull_wait_ns = 0;         // blocking wait for all pulls
+  std::uint64_t decode_ns = 0;            // ApplyPull over all tensors
+  std::uint64_t bytes_out = 0;            // wire push payload bytes
+  std::uint64_t bytes_in = 0;             // wire pull payload bytes
   // First-stage (pre-block-codec) payload bytes; equal to bytes_out/in
   // when no second-stage block codec is negotiated.
   std::uint64_t stage1_bytes_out = 0;
   std::uint64_t stage1_bytes_in = 0;
-  double ea_l2 = 0.0;
-  std::uint32_t rejoins = 0;
+  double ea_l2 = 0.0;         // error-accumulation buffer L2
+  std::uint32_t rejoins = 0;  // reconnects so far this process
 };
 
 class ClusterView {

@@ -61,8 +61,7 @@ class Worker {
   std::shared_ptr<const Compressor> codec_;
   std::vector<nn::ParamRef> params_;
   std::vector<std::unique_ptr<compress::Context>> push_ctx_;
-  tensor::Tensor scratch_;  // pull decode target (resized per tensor)
-  std::vector<tensor::Tensor> pull_scratch_;
+  std::vector<tensor::Tensor> pull_scratch_;  // pull decode targets [t]
 };
 
 }  // namespace threelc::ps

@@ -32,7 +32,8 @@
 // Examples: "corrupt:push@2" (flip a byte in the first PUSH of step 2),
 // "close:pull@5" (kill the connection while fanning out step 5's pulls),
 // "delay200:push@any#*" (delay every push by 200 ms),
-// "killserver:pull@5" (crash the server mid-fan-out of step 5's pulls),
+// "killserver:pull@5" (crash the server as it starts fanning out step 5's
+// pulls),
 // "stall:push@3" (freeze the endpoint at step 3's first push: it stops
 // reading AND writing without closing, like a SIGSTOP'd process — its
 // write queue grows until backpressure), "partition:tx@3" (one-way
@@ -42,6 +43,10 @@
 // One injector instance belongs to one endpoint (one worker process or the
 // server); sharing an instance across concurrently-sending endpoints would
 // make the occurrence counters race-order dependent and break replay.
+// Successive incarnations of one endpoint may share an instance — and a
+// crash drill should: a restarted server keeps the injector its crashed
+// predecessor used, so a rule that already fired stays spent and the
+// resumed incarnation's replay of step K does not die at step K again.
 #pragma once
 
 #include <cstdint>
@@ -61,12 +66,14 @@ enum class FaultAction : std::uint8_t {
   kTruncate,  // send only a frame prefix, then close
   kClose,     // close the connection instead of sending
   // Kill the whole sending endpoint, not just one connection: the frame is
-  // not sent, the connection closes, and the injector latches
-  // kill_requested() for the endpoint's event loop to act on. On the
-  // server this simulates a parameter-server crash at an exact,
-  // deterministic point in the fan-out (RpcServer checks the latch and
-  // dies abruptly — no ERROR broadcast, sockets dropped mid-step — so
-  // recovery is exercised from its checkpoint). Spec token: "killserver".
+  // not sent, the connection closes, and the injector latches a kill
+  // request for the endpoint's event loop to take (TakeKillRequest). On
+  // the server this simulates a parameter-server crash at an exact,
+  // deterministic point (RpcServer takes the latch and dies abruptly — no
+  // ERROR broadcast, sockets dropped mid-step — so recovery is exercised
+  // from its checkpoint). "killserver:pull@K" dies at step K's first PULL
+  // send: after step K's write-ahead checkpoint, before any byte of the
+  // fan-out leaves. Spec token: "killserver".
   kKillServer,
   // Freeze the connection without closing it: from the triggering frame
   // on, the endpoint neither reads nor flushes — the socket stays open,
@@ -136,9 +143,15 @@ class FaultInjector {
   // Faults actually injected (decisions other than kNone).
   std::size_t faults_injected() const { return faults_; }
 
-  // Latched by the first kKillServer decision; the owning endpoint's event
-  // loop reads it (after any send) to die at the injected point.
-  bool kill_requested() const { return kill_requested_; }
+  // Latched by a kKillServer decision; the owning endpoint's event loop
+  // takes it (after any send) to die at the injected point. Check-and-
+  // clear, like util::Fs::TakeCrashRequest, so a resumed incarnation
+  // sharing this injector is not killed by its predecessor's request.
+  bool TakeKillRequest() {
+    const bool requested = kill_requested_;
+    kill_requested_ = false;
+    return requested;
+  }
 
   // One line per injected fault: "<action> <TYPE> step=<s> byte=<o>".
   // Two runs with the same seed and traffic produce identical logs — the

@@ -115,7 +115,8 @@ HandshakeAckPayload DecodeHandshakeAck(util::ByteSpan bytes, bool rejoin) {
   return payload;
 }
 
-void EncodeTelemetry(const TelemetryPayload& payload, util::ByteBuffer& out) {
+void EncodeTelemetry(const obs::WorkerStepRecord& payload,
+                     util::ByteBuffer& out) {
   // u32 envelope length, then the known fields. 7 u64 + 1 f64 + 1 u32,
   // plus the 2 u64 stage-1 byte counters appended in protocol v5.
   constexpr std::uint32_t kRecordBytes = 7 * 8 + 8 + 4 + 2 * 8;
@@ -133,7 +134,7 @@ void EncodeTelemetry(const TelemetryPayload& payload, util::ByteBuffer& out) {
   out.AppendU64(payload.stage1_bytes_in);
 }
 
-TelemetryPayload DecodeTelemetry(util::ByteSpan bytes) {
+obs::WorkerStepRecord DecodeTelemetry(util::ByteSpan bytes) {
   util::ByteReader outer(bytes);
   const std::uint32_t record_len = outer.ReadU32();
   util::ByteSpan record = outer.ReadSpan(record_len);
@@ -141,7 +142,7 @@ TelemetryPayload DecodeTelemetry(util::ByteSpan bytes) {
     throw std::runtime_error("trailing bytes after telemetry envelope");
   }
   util::ByteReader in(record);
-  TelemetryPayload payload;
+  obs::WorkerStepRecord payload;
   payload.forward_backward_ns = in.ReadU64();
   payload.encode_ns = in.ReadU64();
   payload.push_ns = in.ReadU64();

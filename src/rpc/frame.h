@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/cluster_view.h"
 #include "util/byte_buffer.h"
 
 namespace threelc::rpc {
@@ -141,31 +142,20 @@ void EncodeHandshakeAck(const HandshakeAckPayload& payload, bool rejoin,
                         util::ByteBuffer& out);
 HandshakeAckPayload DecodeHandshakeAck(util::ByteSpan bytes, bool rejoin);
 
-// TELEMETRY payload (protocol v4). One compact record per completed step,
-// sent worker -> server after the step's pulls were applied; the step id
-// rides in the frame header. The record is wrapped in a u32 length
-// envelope so future versions can append fields without a version bump:
-// decoders read the fields they know and skip the rest of the envelope,
-// but reject bytes after the envelope (framing bug, not a new field).
-struct TelemetryPayload {
-  std::uint64_t forward_backward_ns = 0;  // sampler + TrainStep
-  std::uint64_t encode_ns = 0;            // EncodePush over all tensors
-  std::uint64_t push_ns = 0;              // send + flush of PUSH/STEP_STATS
-  std::uint64_t pull_wait_ns = 0;         // blocking wait for all pulls
-  std::uint64_t decode_ns = 0;            // ApplyPull over all tensors
-  std::uint64_t bytes_out = 0;            // wire push payload bytes
-  std::uint64_t bytes_in = 0;             // wire pull payload bytes
-  double ea_l2 = 0.0;                     // error-accumulation buffer L2
-  std::uint32_t rejoins = 0;              // reconnects so far this process
-  // First-stage (pre-block-codec) payload bytes; equal to bytes_out/in
-  // when the negotiated block codec is store. Added in protocol v5 so the
-  // server can report stage-1 and end-to-end compression separately.
-  std::uint64_t stage1_bytes_out = 0;
-  std::uint64_t stage1_bytes_in = 0;
-};
-
-void EncodeTelemetry(const TelemetryPayload& payload, util::ByteBuffer& out);
-TelemetryPayload DecodeTelemetry(util::ByteSpan bytes);
+// TELEMETRY payload (protocol v4). One obs::WorkerStepRecord per completed
+// step, sent worker -> server after the step's pulls were applied. The
+// step id rides in the frame header, not the payload: Encode ignores
+// record.step and Decode leaves it 0. The record is wrapped in a u32
+// length envelope so future versions can append fields without a version
+// bump: decoders read the fields they know and skip the rest of the
+// envelope, but reject bytes after the envelope (framing bug, not a new
+// field). Wire order: forward_backward_ns, encode_ns, push_ns,
+// pull_wait_ns, decode_ns, bytes_out, bytes_in (u64 each), ea_l2 (f64),
+// rejoins (u32), then stage1_bytes_out, stage1_bytes_in (u64, appended in
+// protocol v5).
+void EncodeTelemetry(const obs::WorkerStepRecord& record,
+                     util::ByteBuffer& out);
+obs::WorkerStepRecord DecodeTelemetry(util::ByteSpan bytes);
 
 // HEARTBEAT payload (protocol v6). A tiny liveness beacon both roles send
 // on an idle-aware cadence; receiving any frame — heartbeat or not —

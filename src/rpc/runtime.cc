@@ -28,6 +28,12 @@ namespace {
 // early on socket activity).
 constexpr int kPollSliceMs = 50;
 
+// A failed server checkpoint write is retried this many times (after the
+// first attempt), sleeping kCheckpointRetryBackoffMs * attempt between
+// tries, before the run degrades (RpcServer::WriteCheckpoint).
+constexpr int kCheckpointWriteRetries = 2;
+constexpr int kCheckpointRetryBackoffMs = 10;
+
 // Every fault funnels through here: error log, rpc/transport_errors
 // counter, and a flight-recorder event + dump so a post-mortem of a failed
 // distributed run has the last ~256 steps alongside the fault.
@@ -348,8 +354,8 @@ void RpcServer::SendHeartbeats() {
   HeartbeatPayload beat;
   beat.role = 1;
   beat.seq = heartbeat_seq_++;
-  beat.progress =
-      static_cast<std::uint64_t>(std::max<std::int64_t>(steps_completed_, 0));
+  beat.progress = static_cast<std::uint64_t>(
+      std::max<std::int64_t>(steps_completed_.load(), 0));
   util::ByteBuffer payload;
   EncodeHeartbeat(beat, payload);
   for (std::size_t w = 0; w < worker_conns_.size(); ++w) {
@@ -541,8 +547,10 @@ void RpcServer::HandleJoin(Connection& conn, const Frame& frame,
     }
     // Every retained step is below current_step_, so a rejoiner already
     // at current_step_ always passes.
+    const auto& ring = ckpt_state_.replay;
     const std::int64_t oldest =
-        replay_.empty() ? current_step_ : replay_.front().first;
+        ring.empty() ? current_step_
+                     : static_cast<std::int64_t>(ring.front().step);
     if (next_step < oldest) {
       reject("replay window exceeded: worker needs step " +
              std::to_string(next_step) + " but the oldest retained step is " +
@@ -590,9 +598,10 @@ void RpcServer::HandleJoin(Connection& conn, const Frame& frame,
   // identical, since its state is deterministic) and only needs the
   // server's side of each barrier.
   std::size_t frames = 0;
-  for (const auto& [step, tensors] : replay_) {
+  for (const nn::ServerState::ReplayStep& entry : ckpt_state_.replay) {
+    const auto step = static_cast<std::int64_t>(entry.step);
     if (step < next_step || step >= current_step_) continue;
-    for (const util::ByteBuffer& bytes : tensors) {
+    for (const util::ByteBuffer& bytes : entry.frames) {
       if (!conn.SendEncoded(bytes.span(), 1)) {
         Fail("replaying step " + std::to_string(step) + " to worker " +
              std::to_string(w) + ": " + conn.last_error());
@@ -726,21 +735,9 @@ void RpcServer::OnFrame(Connection& conn, Frame&& frame) {
         // server collects the next one). Decode always — a malformed
         // record is a protocol fault — but feed only an attached view.
         // Duplicates from rejoin replay are deduped inside ClusterView.
-        const TelemetryPayload p = DecodeTelemetry(frame.payload.span());
+        obs::WorkerStepRecord rec = DecodeTelemetry(frame.payload.span());
         if (obs::ClusterView* view = cluster_view()) {
-          obs::WorkerStepRecord rec;
           rec.step = h.step;
-          rec.forward_backward_ns = p.forward_backward_ns;
-          rec.encode_ns = p.encode_ns;
-          rec.push_ns = p.push_ns;
-          rec.pull_wait_ns = p.pull_wait_ns;
-          rec.decode_ns = p.decode_ns;
-          rec.bytes_out = p.bytes_out;
-          rec.bytes_in = p.bytes_in;
-          rec.stage1_bytes_out = p.stage1_bytes_out;
-          rec.stage1_bytes_in = p.stage1_bytes_in;
-          rec.ea_l2 = p.ea_l2;
-          rec.rejoins = p.rejoins;
           view->Ingest(static_cast<int>(w), rec);
         }
         return;
@@ -962,9 +959,10 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
     // even with replay_steps == 0, dropped after fan-out): the write-ahead
     // checkpoint below must carry exactly what the fan-out is about to
     // send, so a server restored from it replays byte-identical pulls.
-    replay_.emplace_back(step, std::move(step_frames));
-    while (replay_.size() > std::max<std::size_t>(max_replay, 1)) {
-      replay_.pop_front();
+    auto& ring = ckpt_state_.replay;
+    ring.push_back({static_cast<std::uint64_t>(step), std::move(step_frames)});
+    while (ring.size() > std::max<std::size_t>(max_replay, 1)) {
+      ring.pop_front();
     }
   }
   const double codec_seconds = decode_cpu_s + encode_cpu.ElapsedSeconds();
@@ -978,19 +976,11 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
     if (!WriteCheckpoint(step + 1, /*force=*/false)) return false;
   }
 
-  // Chaos drill: die between the checkpoint write and the fan-out — the
-  // window where a generation fallback on resume is provably bitwise-safe
-  // (no worker has seen this step's result yet).
-  if (step == config_.exit_at_checkpoint) {
-    SimulatedCrash("simulated server crash at step " + std::to_string(step) +
-                   "'s checkpoint (before fan-out)");
-    return false;
-  }
-
   std::uint64_t fanout_ns = 0;
   {
     obs::ScopedStage stage(prof, "fan_out", &fanout_ns, span);
-    const std::vector<util::ByteBuffer>& fanout = replay_.back().second;
+    const std::vector<util::ByteBuffer>& fanout =
+        ckpt_state_.replay.back().frames;
     for (std::size_t t = 0; t < num_tensors; ++t) {
       for (std::size_t w : contributors) {
         if (member_state_[w] != Member::kActive) continue;  // died mid-fan-out
@@ -998,7 +988,7 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
         if (conn != nullptr && conn->SendEncoded(fanout[t].span(), 1)) {
           continue;
         }
-        if (config_.fault != nullptr && config_.fault->kill_requested()) {
+        if (config_.fault != nullptr && config_.fault->TakeKillRequest()) {
           SimulatedCrash("injected server kill fanning out step " +
                          std::to_string(step) + " pulls");
           return false;
@@ -1010,7 +1000,7 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
         }
       }
     }
-    if (max_replay == 0) replay_.clear();
+    if (max_replay == 0) ckpt_state_.replay.clear();
   }
 
   // Accept the next step's pushes before blocking on anything else — a
@@ -1222,17 +1212,6 @@ bool RpcServer::WriteCheckpoint(std::int64_t next_step, bool force) {
     state.evicted[w] = member_state_[w] == Member::kEvicted ? 1 : 0;
     state.greeted[w] = greeted_[w] ? 1 : 0;
   }
-  state.replay.resize(replay_.size());
-  auto entry = state.replay.begin();
-  for (const auto& [step, tensors] : replay_) {
-    entry->step = static_cast<std::uint64_t>(step);
-    entry->frames.resize(tensors.size());
-    for (std::size_t t = 0; t < tensors.size(); ++t) {
-      entry->frames[t].assign(tensors[t].data(),
-                              tensors[t].data() + tensors[t].size());
-    }
-    ++entry;
-  }
   // Degraded-but-alive storage posture: a failed write is retried with a
   // linear backoff, and exhaustion degrades the run (recovery is at risk
   // — a crash now replays from the last intact generation) instead of
@@ -1240,14 +1219,14 @@ bool RpcServer::WriteCheckpoint(std::int64_t next_step, bool force) {
   // been fanned out yet, so the last intact generation still covers
   // everything any worker has seen.
   nn::CheckpointManager& ckpt = Checkpointer();
-  const int attempts = 1 + std::max(config_.checkpoint_write_retries, 0);
+  const int attempts = 1 + kCheckpointWriteRetries;
   bool written = false;
   std::string last_error;
   util::WallTimer write_timer;
   for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0 && config_.checkpoint_retry_backoff_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          config_.checkpoint_retry_backoff_ms * attempt));
+    if (attempt > 0) {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(kCheckpointRetryBackoffMs * attempt));
     }
     try {
       ckpt.Save(ps_->global_model(), state);
@@ -1356,18 +1335,7 @@ bool RpcServer::ResumeFromCheckpoint(const std::string& path,
                                              : Member::kActive;
     greeted_[w] = state.greeted[w] != 0;
   }
-  replay_.clear();
-  for (const nn::ServerState::ReplayStep& rs : state.replay) {
-    std::vector<util::ByteBuffer> tensors;
-    tensors.reserve(rs.frames.size());
-    for (const std::vector<std::uint8_t>& bytes : rs.frames) {
-      util::ByteBuffer frame;
-      frame.Append(bytes.data(), bytes.size());
-      tensors.push_back(std::move(frame));
-    }
-    replay_.emplace_back(static_cast<std::int64_t>(rs.step),
-                         std::move(tensors));
-  }
+  ckpt_state_.replay = std::move(state.replay);
   resumed_ = true;
   PublishStorageHealth();
   THREELC_LOG(Info) << "rpc server: resumed from checkpoint '"
@@ -1497,7 +1465,7 @@ bool RpcServer::Run() {
       return false;
     }
     ++steps_completed_;
-    if (config_.fault != nullptr && config_.fault->kill_requested()) {
+    if (config_.fault != nullptr && config_.fault->TakeKillRequest()) {
       SimulatedCrash("injected server kill after step " +
                      std::to_string(step));
       return false;
@@ -1564,7 +1532,7 @@ bool RpcServer::Run() {
   }
   tcp_.Close();
   THREELC_LOG(Info) << "rpc server: clean shutdown after "
-                    << steps_completed_ << " steps"
+                    << steps_completed_.load() << " steps"
                     << (evictions_ > 0
                             ? " (degraded: " + std::to_string(evictions_) +
                                   " worker(s) evicted)"
@@ -1710,17 +1678,27 @@ bool RpcWorker::Handshake(Connection& conn, bool rejoin,
   payload.next_step = static_cast<std::uint64_t>(next_apply_);
   util::ByteBuffer hello;
   EncodeHandshake(payload, rejoin, hello);
+  // A REJOIN whose connection dies before the ack fails softly, like one
+  // lost mid-replay: e.g. the connect landed in a crashing server's listen
+  // backlog and was reset. The caller spends another reconnect attempt.
+  const auto lost = [&](const std::string& what) {
+    if (!rejoin || failed_) return Fail(what);
+    THREELC_LOG(Warn) << "rpc worker " << config_.worker_id << ": " << what;
+    return false;
+  };
   if (!conn.SendFrame(rejoin ? MsgType::kRejoin : MsgType::kHello, 0, 0,
                       hello.span())) {
-    return Fail("sending " + kind + ": " + conn.last_error());
+    return lost("sending " + kind + ": " + conn.last_error());
   }
-  if (!Flush(conn)) return Fail("flushing " + kind + ": " + conn.last_error());
+  if (!Flush(conn)) return lost("flushing " + kind + ": " + conn.last_error());
   const std::string ack_name = kind + "_ACK";
   Frame ack;
   const Connection::IoResult r =
       WaitDataFrame(conn, &ack, config_.handshake_timeout_ms);
   if (r != Connection::IoResult::kOk) {
-    return Fail("waiting for " + ack_name + ": " + DescribeWait(r, conn));
+    const std::string what =
+        "waiting for " + ack_name + ": " + DescribeWait(r, conn);
+    return r == Connection::IoResult::kTimeout ? Fail(what) : lost(what);
   }
   if (ack.header.type == MsgType::kError) {
     return Fail("server rejected " + std::string(rejoin ? "rejoin" : "handshake") +
@@ -1790,7 +1768,7 @@ void RpcWorker::ComputeStep(std::int64_t step) {
   // either way.
   obs::StageProfiler* prof = &obs::StageProfiler::Global();
   const obs::SpanTarget span = StepSpan(step);
-  pending_telemetry_ = TelemetryPayload{};
+  pending_telemetry_ = obs::WorkerStepRecord{};
   {
     obs::ScopedStage stage(prof, "forward_backward",
                            &pending_telemetry_.forward_backward_ns, span);
@@ -1846,8 +1824,8 @@ RpcWorker::StepStatus RpcWorker::ReceivePulls(std::int64_t step, bool live) {
   // A replayed step feeds no profiler stage, span or TELEMETRY record.
   obs::StageProfiler* prof = live ? &obs::StageProfiler::Global() : nullptr;
   const obs::SpanTarget span = live ? StepSpan(step) : obs::SpanTarget{};
-  TelemetryPayload replayed;
-  TelemetryPayload& record = live ? pending_telemetry_ : replayed;
+  obs::WorkerStepRecord replayed;
+  obs::WorkerStepRecord& record = live ? pending_telemetry_ : replayed;
   const std::size_t num_tensors = plan_->size();
   std::vector<util::ByteBuffer> pulls(num_tensors);
   {

@@ -60,7 +60,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -150,33 +149,24 @@ struct RpcServerConfig {
   // ("<checkpoint_path>.g<N>", see nn/checkpoint_manager.h). 2 gives
   // last-good fallback when the newest generation is torn or corrupt.
   int checkpoint_retain = 2;
-  // Storage-fault posture: a failed checkpoint write is retried this many
-  // times (after the first attempt) with a linear backoff between tries,
-  // then training continues DEGRADED on the last intact generation —
-  // /healthz flips to degraded with a "recovery at risk" reason and
-  // ckpt/write_failures counts every failed attempt — instead of
-  // aborting the run. A later successful write restores healthy.
-  int checkpoint_write_retries = 2;
-  int checkpoint_retry_backoff_ms = 10;
   // Syscall seam for checkpoint writes (util/fs.h); nullptr = the real
   // filesystem. Chaos drills install a FaultFs here. Not owned.
   util::Fs* fs = nullptr;
   // Chaos testing: after completing this step (its checkpoint already on
   // disk), drop every socket abruptly — no ERROR broadcast, no flush —
-  // and return from Run with simulated_exit() true. -1 disables.
+  // and return from Run with simulated_exit() true. -1 disables. To crash
+  // BETWEEN step K's checkpoint write and its fan-out instead (the window
+  // where a generation fallback is bitwise-safe: no worker has seen step
+  // K's result), inject "killserver:pull@K" through `fault`.
   std::int64_t exit_after_step = -1;
-  // Chaos testing: crash BETWEEN step K's checkpoint write and its pull
-  // fan-out — the exact window where the write-ahead invariant makes a
-  // generation fallback bitwise-safe (no worker has seen step K's
-  // result). -1 disables. Distinct from exit_after_step, which crashes
-  // after the fan-out completed.
-  std::int64_t exit_at_checkpoint = -1;
   // Graceful stop (e.g. set by a SIGTERM handler): polled by the event
   // loop; when it flips true the server writes a forced checkpoint,
   // notifies workers, closes cleanly, and returns with interrupted()
   // true. Not owned; may be nullptr.
   const std::atomic<bool>* stop_flag = nullptr;
   // Injected into every accepted connection (chaos testing); not owned.
+  // A killserver rule crashes the server (simulated_exit()). Hand the
+  // same injector to the resumed incarnation so a spent rule stays spent.
   FaultInjector* fault = nullptr;
   // Optional; adds rpc metrics, per-step JSONL records, handshake and
   // step-phase spans (track 0), and flight-recorder error events.
@@ -219,7 +209,8 @@ class RpcServer {
   bool Run();
 
   const std::string& error() const { return error_; }
-  std::int64_t steps_completed() const { return steps_completed_; }
+  // Safe to poll from another thread while Run() advances it.
+  std::int64_t steps_completed() const { return steps_completed_.load(); }
   const TransportMetrics& metrics() const { return metrics_; }
   std::size_t evictions() const { return evictions_; }
   std::size_t rejoins() const { return rejoins_; }
@@ -310,10 +301,11 @@ class RpcServer {
   // Server-recovery plumbing. WriteCheckpoint persists the current state
   // under `next_step` when the cadence (or `force`) says so, writing the
   // next checkpoint generation through the CheckpointManager. An I/O
-  // error is retried (checkpoint_write_retries, linear backoff), then
-  // training continues DEGRADED on the last intact generation — recovery
-  // is at risk but the run is not aborted — so the return value is only
-  // false when a crash latch fired, never on write failure.
+  // error is retried (twice, linear backoff), then training continues
+  // DEGRADED on the last intact generation — /healthz "recovery at risk",
+  // every failed attempt counted in ckpt/write_failures — instead of
+  // aborting; a later successful write restores healthy. So the return
+  // value is only false when a crash latch fired, never on write failure.
   // SimulatedCrash drops every socket with no goodbye. GracefulStop is
   // the stop_flag path: forced checkpoint, ERROR notice to workers,
   // interrupted() true.
@@ -365,9 +357,6 @@ class RpcServer {
   // Disconnect instants, meaningful only while kWaiting.
   std::vector<std::chrono::steady_clock::time_point> dead_since_;
   std::vector<bool> greeted_;  // ever completed HELLO or REJOIN
-  // Retained pull fan-out frames: replay_[i] holds the per-tensor encoded
-  // frame bytes of a completed step, bounded to config_.replay_steps.
-  std::deque<std::pair<std::int64_t, std::vector<util::ByteBuffer>>> replay_;
   std::size_t rejoins_ = 0;
   std::size_t evictions_ = 0;
   std::size_t replayed_frames_ = 0;
@@ -384,7 +373,7 @@ class RpcServer {
   std::vector<util::ByteBuffer> bye_blobs_;  // per-worker BYE payloads
   bool failed_ = false;
   std::string error_;
-  std::int64_t steps_completed_ = 0;
+  std::atomic<std::int64_t> steps_completed_{0};
 
   // Server-recovery state.
   std::uint64_t epoch_ = 1;
@@ -399,9 +388,12 @@ class RpcServer {
   // cleared by unrelated recoveries (e.g. a rejoin completing).
   std::unique_ptr<nn::CheckpointManager> ckpt_;
   // What WriteCheckpoint persists, refilled in place every checkpoint so
-  // its buffers keep their capacity across steps (empty, holding no
-  // memory, when checkpoint_path is unset). Its write_ps_state hook
-  // serializes ps_ straight into the checkpoint file buffer.
+  // its buffers keep their capacity across steps. Its write_ps_state hook
+  // serializes ps_ straight into the checkpoint file buffer. Its replay
+  // ring is the server's one copy of the retained pull fan-out frames
+  // (the per-tensor encoded frame bytes of recent completed steps,
+  // bounded to config_.replay_steps), kept here even with checkpoints off
+  // so a checkpoint writes it, and a resume restores it, without a copy.
   nn::ServerState ckpt_state_;
   bool ckpt_degraded_ = false;
   std::size_t ckpt_writes_ = 0;
@@ -511,7 +503,8 @@ class RpcWorker {
   bool Connect(bool rejoin_mode);
   bool Reconnect();
   // Send HELLO (rejoin false) or REJOIN and validate the ack. A REJOIN_ACK
-  // sets *collect_step to the step the server is collecting.
+  // sets *collect_step to the step the server is collecting. A REJOIN whose
+  // connection is lost before the ack returns false with failed_ unset.
   bool Handshake(Connection& conn, bool rejoin, std::int64_t* collect_step);
   // Catch up to the server's collect step by recomputing each missed step
   // locally and applying the replayed pull bytes.
@@ -579,7 +572,7 @@ class RpcWorker {
   // Per-step telemetry record under assembly: ComputeStep fills the
   // compute/encode half, RunStep the transport half, then ships it as one
   // best-effort TELEMETRY frame after the step's pulls are applied.
-  TelemetryPayload pending_telemetry_;
+  obs::WorkerStepRecord pending_telemetry_;
 
   std::size_t reconnects_ = 0;
   std::uint64_t heartbeat_seq_ = 0;

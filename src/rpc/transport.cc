@@ -306,7 +306,7 @@ bool Connection::SendEncoded(util::ByteSpan frame_bytes,
         return false;
       case FaultAction::kKillServer:
         // The endpoint-level crash is the owner's job (the injector has
-        // latched kill_requested()); here the frame just dies with the
+        // latched a kill request); here the frame just dies with the
         // connection, unflushed — a crash does not say goodbye.
         Close();
         last_error_ = "injected fault: endpoint killed";

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 
 #include "nn/checkpoint.h"
 #include "nn/checkpoint_manager.h"
@@ -223,6 +224,12 @@ TEST(Checkpoint, V3ChecksumDetectsStateCorruption) {
 
 // ---------- server checkpoint ("3LCS") ----------
 
+util::ByteBuffer ReplayFrame(std::initializer_list<std::uint8_t> bytes) {
+  util::ByteBuffer frame;
+  frame.Append(bytes.begin(), bytes.size());
+  return frame;
+}
+
 nn::ServerState MakeServerState() {
   nn::ServerState state;
   state.epoch = 3;
@@ -232,10 +239,10 @@ nn::ServerState MakeServerState() {
   state.greeted = {1, 1, 0};
   nn::ServerState::ReplayStep s15;
   s15.step = 15;
-  s15.frames = {{0x10, 0x11}, {0x12}};
+  s15.frames = {ReplayFrame({0x10, 0x11}), ReplayFrame({0x12})};
   nn::ServerState::ReplayStep s16;
   s16.step = 16;
-  s16.frames = {{0x20}, {0x21, 0x22, 0x23}};
+  s16.frames = {ReplayFrame({0x20}), ReplayFrame({0x21, 0x22, 0x23})};
   state.replay = {s15, s16};
   return state;
 }

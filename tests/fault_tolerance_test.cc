@@ -383,10 +383,16 @@ TEST(FaultTolerance, RequestStopFailsRunWithReason) {
 // from that checkpoint on the same port, and require the final global
 // model to be bitwise identical to a fault-free in-process run. Both
 // workers must survive the outage via their reconnect budget and REJOIN
-// against the bumped incarnation epoch.
+// against the bumped incarnation epoch. With `kill_rule`, the server dies
+// instead at step `kill_step`'s first PULL send ("killserver:pull@K":
+// after the step's write-ahead checkpoint, before any byte of its fan-out
+// leaves), and both incarnations share the injector, as the example's
+// supervisor does: the spent rule must not kill the resumed server while
+// it replays that step.
 void ExpectServerKillResumeParity(const compress::CodecConfig& codec,
                                   std::int64_t kill_step,
-                                  const std::string& block_codec = "store") {
+                                  const std::string& block_codec = "store",
+                                  bool kill_rule = false) {
   SCOPED_TRACE("kill_step=" + std::to_string(kill_step));
   constexpr int kWorkers = 2;
   TestSetup setup = MakeTestSetup(kWorkers, /*steps=*/6, codec);
@@ -395,14 +401,22 @@ void ExpectServerKillResumeParity(const compress::CodecConfig& codec,
                            std::to_string(kill_step) + ".sckpt";
   std::remove(ckpt.c_str());
 
+  std::string error;
+  FaultInjector injector(/*seed=*/3);
+  FaultInjector* fault = nullptr;
   ServerChaos crashy;
   crashy.checkpoint_path = ckpt;
   crashy.checkpoint_every = 1;
-  crashy.exit_after_step = kill_step;
+  if (kill_rule) {
+    ASSERT_TRUE(injector.AddRulesFromSpec(
+        "killserver:pull@" + std::to_string(kill_step), &error))
+        << error;
+    fault = &injector;
+  } else {
+    crashy.exit_after_step = kill_step;
+  }
   ServerHarness h1 =
-      MakeServer(setup, /*grace_ms=*/20000, /*replay_steps=*/8,
-                 /*fault=*/nullptr, crashy);
-  std::string error;
+      MakeServer(setup, /*grace_ms=*/20000, /*replay_steps=*/8, fault, crashy);
   ASSERT_TRUE(h1.server->Listen(&error)) << error;
   const int port = h1.server->port();
 
@@ -430,8 +444,7 @@ void ExpectServerKillResumeParity(const compress::CodecConfig& codec,
   resumed.checkpoint_path = ckpt;
   resumed.checkpoint_every = 1;
   ServerHarness h2 = MakeServer(setup, /*grace_ms=*/20000,
-                                /*replay_steps=*/8, /*fault=*/nullptr,
-                                resumed);
+                                /*replay_steps=*/8, fault, resumed);
   ASSERT_TRUE(h2.server->ResumeFromCheckpoint(ckpt, &error)) << error;
   ASSERT_TRUE(h2.server->Listen(&error)) << error;
   bool server2_ok = false;
@@ -466,6 +479,13 @@ TEST(FaultTolerance, KillServerResumeBitwiseParity3lc) {
   for (const std::int64_t kill_step : {0, 2, 4}) {
     ExpectServerKillResumeParity(compress::CodecConfig::ThreeLC(1.0f),
                                  kill_step);
+  }
+}
+
+TEST(FaultTolerance, KillServerRuleSharedAcrossRestartBitwiseParity3lc) {
+  for (const std::int64_t kill_step : {0, 2, 4}) {
+    ExpectServerKillResumeParity(compress::CodecConfig::ThreeLC(1.0f),
+                                 kill_step, "store", /*kill_rule=*/true);
   }
 }
 

@@ -1,5 +1,5 @@
-// Tests for the CLI flag parser, plus the Dropout layer and Adam
-// optimizer added alongside it.
+// Tests for the CLI flag parser, plus the Adam optimizer added alongside
+// it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,11 +7,9 @@
 #include <vector>
 
 #include "nn/adam.h"
-#include "nn/dropout.h"
 #include "nn/loss.h"
 #include "tensor/tensor_ops.h"
 #include "util/flags.h"
-#include "util/rng.h"
 
 namespace threelc {
 namespace {
@@ -86,63 +84,6 @@ TEST(Flags, HasDetectsPresence) {
   auto f = Parse({"--a=1"});
   EXPECT_TRUE(f.Has("a"));
   EXPECT_FALSE(f.Has("b"));
-}
-
-// ---------- Dropout ----------
-
-TEST(Dropout, EvalModeIsIdentity) {
-  nn::Dropout drop("d", 0.5f, 1);
-  util::Rng rng(2);
-  tensor::Tensor in(tensor::Shape{8, 8});
-  tensor::FillNormal(in, rng, 0.0f, 1.0f);
-  tensor::Tensor out = drop.Forward(in, false);
-  EXPECT_EQ(tensor::MaxAbsDiff(in, out), 0.0f);
-}
-
-TEST(Dropout, ZeroRateIsIdentityInTraining) {
-  nn::Dropout drop("d", 0.0f, 1);
-  util::Rng rng(3);
-  tensor::Tensor in(tensor::Shape{16});
-  tensor::FillNormal(in, rng, 0.0f, 1.0f);
-  tensor::Tensor out = drop.Forward(in, true);
-  EXPECT_EQ(tensor::MaxAbsDiff(in, out), 0.0f);
-}
-
-TEST(Dropout, DropsApproximatelyRequestedFraction) {
-  nn::Dropout drop("d", 0.3f, 4);
-  tensor::Tensor in = tensor::Tensor::Full(tensor::Shape{20000}, 1.0f);
-  tensor::Tensor out = drop.Forward(in, true);
-  const double zeros = static_cast<double>(tensor::CountZeros(out));
-  EXPECT_NEAR(zeros / 20000.0, 0.3, 0.02);
-}
-
-TEST(Dropout, SurvivorsScaledToPreserveExpectation) {
-  nn::Dropout drop("d", 0.5f, 5);
-  tensor::Tensor in = tensor::Tensor::Full(tensor::Shape{50000}, 1.0f);
-  tensor::Tensor out = drop.Forward(in, true);
-  // Mean stays ~1 under inverted dropout.
-  EXPECT_NEAR(tensor::Sum(out) / 50000.0, 1.0, 0.03);
-  // Survivors are exactly 1/(1-p) = 2.
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_TRUE(out[i] == 0.0f || out[i] == 2.0f);
-  }
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  nn::Dropout drop("d", 0.4f, 6);
-  util::Rng rng(7);
-  tensor::Tensor in(tensor::Shape{1000});
-  tensor::FillNormal(in, rng, 0.0f, 1.0f);
-  tensor::Tensor out = drop.Forward(in, true);
-  tensor::Tensor ones = tensor::Tensor::Full(in.shape(), 1.0f);
-  tensor::Tensor grad = drop.Backward(ones);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out[i] == 0.0f && in[i] != 0.0f) {
-      EXPECT_EQ(grad[i], 0.0f);
-    } else if (in[i] != 0.0f) {
-      EXPECT_FLOAT_EQ(grad[i], 1.0f / 0.6f);
-    }
-  }
 }
 
 // ---------- Adam ----------

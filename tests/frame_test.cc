@@ -472,8 +472,8 @@ TEST(Handshake, EpochMismatchIsVisibleToTheServerCheck) {
 
 // --- protocol v4 telemetry payload codec ----------------------------------
 
-TelemetryPayload MakeTelemetry() {
-  TelemetryPayload p;
+obs::WorkerStepRecord MakeTelemetry() {
+  obs::WorkerStepRecord p;
   p.forward_backward_ns = 1'200'000;
   p.encode_ns = 340'000;
   p.push_ns = 95'000;
@@ -489,10 +489,10 @@ TelemetryPayload MakeTelemetry() {
 }
 
 TEST(TelemetryCodec, RoundTrip) {
-  const TelemetryPayload in = MakeTelemetry();
+  const obs::WorkerStepRecord in = MakeTelemetry();
   util::ByteBuffer wire;
   EncodeTelemetry(in, wire);
-  const TelemetryPayload out = DecodeTelemetry(wire.span());
+  const obs::WorkerStepRecord out = DecodeTelemetry(wire.span());
   EXPECT_EQ(out.forward_backward_ns, in.forward_backward_ns);
   EXPECT_EQ(out.encode_ns, in.encode_ns);
   EXPECT_EQ(out.push_ns, in.push_ns);
@@ -533,7 +533,7 @@ TEST(TelemetryCodec, TrailingBytesAfterEnvelopeThrow) {
 // newer writer: a v4 reader must decode the fields it knows and skip the
 // rest, so the record format can grow without another version bump.
 TEST(TelemetryCodec, UnknownFutureFieldsInsideEnvelopeAreSkipped) {
-  const TelemetryPayload in = MakeTelemetry();
+  const obs::WorkerStepRecord in = MakeTelemetry();
   util::ByteBuffer wire;
   EncodeTelemetry(in, wire);
   // Grow the envelope by 12 bytes of hypothetical future fields: bump the
@@ -548,7 +548,7 @@ TEST(TelemetryCodec, UnknownFutureFieldsInsideEnvelopeAreSkipped) {
   }
   extended.AppendU64(0xFEEDFACECAFEBEEFull);  // future u64 field
   extended.AppendU32(7);                      // future u32 field
-  const TelemetryPayload out = DecodeTelemetry(extended.span());
+  const obs::WorkerStepRecord out = DecodeTelemetry(extended.span());
   EXPECT_EQ(out.forward_backward_ns, in.forward_backward_ns);
   EXPECT_EQ(out.pull_wait_ns, in.pull_wait_ns);
   EXPECT_EQ(out.rejoins, in.rejoins);
@@ -569,7 +569,7 @@ TEST(TelemetryCodec, FuzzedCorruptionNeverCrashes) {
         static_cast<std::size_t>(rng.Below(corrupted.size()));
     corrupted.data()[at] ^= static_cast<std::uint8_t>(1 + rng.Next() % 255);
     try {
-      const TelemetryPayload out = DecodeTelemetry(corrupted.span());
+      const obs::WorkerStepRecord out = DecodeTelemetry(corrupted.span());
       (void)out;
     } catch (const std::exception&) {
       // acceptable: typed rejection
@@ -598,7 +598,7 @@ TEST(TelemetryCodec, TelemetryFrameRoundTripsThroughParser) {
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].header.type, MsgType::kTelemetry);
   EXPECT_EQ(frames[0].header.step, 23u);
-  const TelemetryPayload out = DecodeTelemetry(frames[0].payload.span());
+  const obs::WorkerStepRecord out = DecodeTelemetry(frames[0].payload.span());
   EXPECT_EQ(out.bytes_out, 48'123u);
 }
 

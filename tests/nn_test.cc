@@ -411,20 +411,6 @@ TEST(CosineDecay, SweepsFullRangeForAnyBudget) {
   }
 }
 
-TEST(StepwiseDecay, ThreePhases) {
-  StepwiseDecay sched(0.1f, 100);
-  EXPECT_FLOAT_EQ(sched.At(0), 0.1f);
-  EXPECT_FLOAT_EQ(sched.At(49), 0.1f);
-  EXPECT_FLOAT_EQ(sched.At(50), 0.01f);
-  EXPECT_FLOAT_EQ(sched.At(75), 0.001f);
-}
-
-TEST(ConstantLr, AlwaysSame) {
-  ConstantLr sched(0.05f);
-  EXPECT_FLOAT_EQ(sched.At(0), 0.05f);
-  EXPECT_FLOAT_EQ(sched.At(12345), 0.05f);
-}
-
 // ---------- Model / end-to-end learning ----------
 
 TEST(Model, ParamsAggregateAcrossLayers) {

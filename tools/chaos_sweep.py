@@ -100,13 +100,15 @@ def derive_disk_scenario(seed, steps, ckpt_dir):
             "fallback"][seed % 5]
     ckpt = f"{ckpt_dir}/dt_server.sckpt"
     if mode == "fallback":
-        # Die at a checkpoint, corrupt the newest generation while the
-        # server is down, and require the resume to fall back past it.
+        # Die at step `at`'s first PULL send (after its checkpoint, before
+        # the fan-out), corrupt the newest generation while the server is
+        # down, and require the resume to fall back past it.
         at = rng.randrange(2, max(3, steps // 2))
-        return mode, ["--kill-server-at-checkpoint", str(at),
+        return mode, ["--inject-server", f"killserver:pull@{at}",
+                      "--server-checkpoint", ckpt,
                       "--corrupt-newest-on-resume", "--state-dir",
                       ckpt_dir], ["fell back", "resumed from checkpoint"], \
-            f"corrupt newest generation on resume after kill@ckpt {at}"
+            f"corrupt newest generation on resume after killserver:pull@{at}"
     if mode == "torn":
         # Swallow one rename: the server dies at the power-loss point and
         # must resume from the previous intact generation.
