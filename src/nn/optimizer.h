@@ -8,7 +8,6 @@
 // after to obtain deltas.
 #pragma once
 
-#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -18,53 +17,31 @@
 
 namespace threelc::nn {
 
-// Abstract optimizer: updates parameters in place from their gradients.
-// The parameter server owns one instance and runs it on aggregated
-// gradients each step.
-//
-// SaveState/LoadState serialize whatever cross-step state the optimizer
-// carries (momentum velocities, Adam moments, ...) so a crashed parameter
-// server resumes with a bitwise-identical trajectory — optimizer state is
-// part of the recurrence, exactly like the codec's error-accumulation
-// buffers. The base implementations are for stateless optimizers (an
-// empty section that round-trips).
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  virtual void ApplyGradients(std::vector<ParamRef>& params, float lr) = 0;
-  virtual void SaveState(util::ByteBuffer& out) const {
-    out.AppendU32(0);  // zero state entries
-  }
-  virtual void LoadState(util::ByteReader& in) {
-    if (in.ReadU32() != 0) {
-      throw std::runtime_error(
-          "optimizer: stored state for a stateful optimizer loaded into a "
-          "stateless one");
-    }
-  }
-};
-
 struct MomentumOptions {
   float momentum = 0.9f;
   float weight_decay = 1e-4f;
 };
 
-class MomentumSgd final : public Optimizer {
+// The parameter server owns one instance and runs it on aggregated
+// gradients each step.
+class MomentumSgd {
  public:
   explicit MomentumSgd(MomentumOptions options = {});
 
   // Update each parameter in place: v = mu*v + (g + wd*w); w -= lr*v.
   // Weight decay applies only to ParamRefs with weight_decay = true.
-  void ApplyGradients(std::vector<ParamRef>& params, float lr) override;
+  void ApplyGradients(std::vector<ParamRef>& params, float lr);
 
   // Velocity buffer for one parameter (created lazily; keyed by name).
   const Tensor* velocity(const std::string& name) const;
 
   // Velocities, serialized sorted by parameter name (the map's iteration
-  // order is not deterministic; the file format must be).
-  void SaveState(util::ByteBuffer& out) const override;
+  // order is not deterministic; the file format must be). They are part
+  // of the server's recurrence, exactly like the codec's error-accumulation
+  // buffers, so a crashed server resumes a bitwise-identical trajectory.
+  void SaveState(util::ByteBuffer& out) const;
   // Replaces all velocities. Throws std::runtime_error on malformed input.
-  void LoadState(util::ByteReader& in) override;
+  void LoadState(util::ByteReader& in);
 
  private:
   MomentumOptions options_;

@@ -87,7 +87,7 @@ struct StepTelemetry {
   std::size_t pull_values = 0;
   double push_bits_per_value = 0.0;
   double pull_bits_per_value = 0.0;
-  double codec_seconds = 0.0;  // critical-path codec CPU time
+  double codec_seconds = 0.0;  // critical-path codec time
   int contributors = 0;
   struct Phase {
     const char* name;  // the ScopedStage (and span) name that timed it

@@ -33,13 +33,8 @@ using util::ByteSpan;
 class ParameterServer {
  public:
   // `global_model` must outlive the server; `codec` compresses model-delta
-  // pulls for the plan's compressed entries; `optimizer` runs on the
-  // aggregated gradients (momentum SGD in the paper's configuration).
-  ParameterServer(nn::Model& global_model, const TensorPlan& plan,
-                  std::shared_ptr<const Compressor> codec,
-                  std::unique_ptr<nn::Optimizer> optimizer);
-
-  // Convenience: momentum-SGD server (the paper's setup).
+  // pulls for the plan's compressed entries; momentum SGD (the paper's
+  // optimizer) runs on the aggregated gradients.
   ParameterServer(nn::Model& global_model, const TensorPlan& plan,
                   std::shared_ptr<const Compressor> codec,
                   nn::MomentumOptions optimizer_options);
@@ -47,54 +42,53 @@ class ParameterServer {
   const TensorPlan& plan() const { return *plan_; }
   nn::Model& global_model() { return *model_; }
 
-  // Start a synchronous step: clears gradient accumulators and the
-  // per-step decode/aggregate timing split.
-  void BeginStep();
-
-  // Decode one worker's gradient push for tensor `idx`. When `aggregate`
-  // is false the payload is consumed but discarded — how the server treats
-  // pushes arriving after the backup-worker quorum is met (§2.1). The
-  // codec decode and the gradient add are the "decode" and "aggregate"
-  // stages, traced on `span` when it names an enabled tracer.
-  void ReceivePush(std::size_t idx, ByteReader& payload, bool aggregate = true,
-                   const obs::SpanTarget& span = {});
-
-  // Wall time this step spent in ReceivePush's decode and aggregate
-  // stages, summed over calls — the decode/aggregate phases of the RunStep
-  // breakdown. Reset by BeginStep.
+  // Wall time one Step spent in each of its phases — the decode,
+  // aggregate, optimize and encode entries of a step's phases_ms.
   struct StepTimings {
     std::uint64_t decode_ns = 0;
     std::uint64_t aggregate_ns = 0;
+    std::uint64_t optimize_ns = 0;
+    std::uint64_t encode_ns = 0;
   };
-  const StepTimings& step_timings() const { return step_timings_; }
 
-  // After all pushes: average gradients over `num_contributions` and run
-  // the optimizer on the global model.
-  void Update(float lr, int num_contributions);
-
-  // Encode this step's shared pull payloads from the post-update model
-  // deltas. When `stats` is non-null it is resized to the plan size and
-  // each compressed entry's encode instrumentation is recorded in place.
-  void PreparePulls(std::vector<compress::EncodeStats>* stats = nullptr);
-
-  // Convenience: Update followed by PreparePulls.
-  void UpdateAndPreparePulls(float lr, int num_contributions);
+  // One synchronous server step (paper Fig. 2):
+  //  - decode: each contributor's push `pushes[w][t]` (one stage-1 codec
+  //    payload per tensor), for every w in `contributors` (ascending
+  //    worker ids), through the codec;
+  //  - aggregate: add it into the tensor's gradient sum, in that order, so
+  //    every caller performs the same float additions;
+  //  - optimize: average over contributors.size() and run momentum SGD on
+  //    the global model;
+  //  - encode: compress each post-update model delta once into the shared
+  //    pull payload (§3) all workers apply.
+  // Pushes of workers not in `contributors` are never read. Each phase is
+  // one ScopedStage per call (decode and aggregate one per tensor per
+  // contributor), traced on `span` when it names an enabled tracer. When
+  // `pull_stats` is non-null it is resized to the plan size and each
+  // compressed entry's encode instrumentation is recorded in place.
+  // Throws std::runtime_error naming the worker and tensor when a push
+  // does not decode or leaves trailing bytes.
+  StepTimings Step(const std::vector<std::vector<ByteBuffer>>& pushes,
+                   const std::vector<std::size_t>& contributors, float lr,
+                   const obs::SpanTarget& span = {},
+                   std::vector<compress::EncodeStats>* pull_stats = nullptr);
 
   // The shared compressed pull payload for tensor `idx` (valid until the
-  // next UpdateAndPreparePulls).
+  // next Step).
   ByteSpan PullPayload(std::size_t idx) const;
 
-  // Aggregated (averaged) gradient for tensor idx — exposed for tests.
+  // Averaged gradient for tensor idx after the last Step — exposed for
+  // tests.
   const tensor::Tensor& AggregatedGrad(std::size_t idx) const;
 
   // Serialize/restore everything beyond the model tensors the server
   // carries across steps: the optimizer's state (momentum velocities), the
-  // per-slot prev_value snapshots PreparePulls diffs against, and the pull
-  // codec's error-accumulation contexts. Together with the model this is
-  // the full server-side recurrence, so a server restarted from a
+  // per-slot prev_value snapshots pull encoding diffs against, and the
+  // pull codec's error-accumulation contexts. Together with the model this
+  // is the full server-side recurrence, so a server restarted from a
   // checkpoint holding this blob continues a bitwise-identical trajectory.
-  // Meaningful only between steps (after PreparePulls, before the next
-  // BeginStep); agg_grad and scratch are transient and not saved.
+  // Meaningful only between Steps; agg_grad and scratch are transient and
+  // not saved.
   void SaveState(ByteBuffer& out) const;
   // Throws std::runtime_error when the blob disagrees with the plan.
   void LoadState(ByteReader& in);
@@ -103,7 +97,7 @@ class ParameterServer {
   nn::Model* model_;
   const TensorPlan* plan_;
   std::shared_ptr<const Compressor> codec_;
-  std::unique_ptr<nn::Optimizer> optimizer_;
+  nn::MomentumSgd optimizer_;
   std::vector<nn::ParamRef> params_;
 
   struct Slot {
@@ -115,7 +109,6 @@ class ParameterServer {
     ByteBuffer pull_payload;
   };
   std::vector<Slot> slots_;
-  StepTimings step_timings_;
 };
 
 }  // namespace threelc::ps

@@ -695,10 +695,10 @@ void RpcServer::OnFrame(Connection& conn, Frame&& frame) {
         util::ByteBuffer payload = std::move(frame.payload);
         push_wire_bytes_[w] += payload.size();
         if (block_codec_->id() != blockcodec::kStoreId) {
-          // Unwrap the negotiated block envelope on arrival, so the step
-          // loop's decode_aggregate phase sees exactly the stage-1 bytes
-          // it saw in protocol v4. A malformed envelope lands in the
-          // enclosing catch and Fails the run cleanly.
+          // Unwrap the negotiated block envelope on arrival, so the server
+          // step's decode phase sees exactly the stage-1 bytes it saw in
+          // protocol v4. A malformed envelope lands in the enclosing catch
+          // and Fails the run cleanly.
           obs::ScopedStage stage(&obs::StageProfiler::Global(),
                                  "block_decode");
           util::ByteBuffer decoded;
@@ -882,60 +882,41 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
     }
   }
 
-  // Decode + aggregate in worker-id order — the same float-addition order
-  // as DistributedTrainer::Run, which is what makes the distributed model
-  // bitwise identical to the in-process one.
-  util::CpuTimer decode_cpu;
-  // Stage-1 bytes (what the tensor codec produced; the envelope was
-  // already stripped at frame arrival) vs wire bytes (what actually
-  // crossed the socket). Equal when the block codec is store.
-  std::size_t push_bytes = 0;
-  std::size_t push_wire_bytes = 0;
-  for (std::size_t w : contributors) {
-    push_wire_bytes += static_cast<std::size_t>(push_wire_bytes_[w]);
-  }
-  // ReceivePush times its codec decodes and gradient adds as the
-  // "decode" and "aggregate" phases (one span per tensor per worker).
-  ps_->BeginStep();
+  // The server step proper: decode and aggregate the contributors'
+  // stage-1 pushes (the envelope was already stripped at frame arrival) in
+  // worker-id order — the same float additions as DistributedTrainer::Run,
+  // which is what makes the distributed model bitwise identical to the
+  // in-process one — then optimize and encode the shared pulls.
+  ps::ParameterServer::StepTimings phases;
   try {
-    for (std::size_t w : contributors) {
-      for (std::size_t t = 0; t < num_tensors; ++t) {
-        push_bytes += push_payloads_[w][t].size();
-        util::ByteReader reader(push_payloads_[w][t]);
-        ps_->ReceivePush(t, reader, /*aggregate=*/true, span);
-        if (!reader.AtEnd()) {
-          Fail("trailing bytes in PUSH payload from worker " +
-               std::to_string(w) + " tensor " + std::to_string(t));
-          return false;
-        }
-      }
-    }
+    phases = ps_->Step(push_payloads_, contributors, lr, span);
   } catch (const std::exception& e) {
     Fail(std::string("decoding pushes for step ") + std::to_string(step) +
          ": " + e.what());
     return false;
   }
-  const double decode_cpu_s = decode_cpu.ElapsedSeconds();
-
-  std::uint64_t optimize_ns = 0;
-  {
-    obs::ScopedStage stage(prof, "optimize", &optimize_ns, span);
-    ps_->Update(lr, static_cast<int>(num_contributors));
+  // Stage-1 bytes (what the tensor codec produced) vs wire bytes (what
+  // actually crossed the socket). Equal when the block codec is store.
+  std::size_t push_bytes = 0;
+  std::size_t push_wire_bytes = 0;
+  for (std::size_t w : contributors) {
+    push_wire_bytes += static_cast<std::size_t>(push_wire_bytes_[w]);
+    for (const util::ByteBuffer& payload : push_payloads_[w]) {
+      push_bytes += payload.size();
+    }
   }
 
-  // Encode each pull payload once; every worker is queued the same frame
-  // bytes (the paper's shared pull compression, §3). The encoded frames
-  // are also retained in the replay ring so a rejoiner can be caught up.
-  std::uint64_t encode_ns = 0;
-  util::CpuTimer encode_cpu;
+  // Envelope and frame each pull payload once; every worker is queued the
+  // same frame bytes (the paper's shared pull compression, §3). This is
+  // the step's second "encode" interval. The encoded frames are also
+  // retained in the replay ring so a rejoiner can be caught up.
   std::size_t pull_stage1_bytes = 0;
   std::size_t pull_payload_bytes = 0;
   std::size_t incompressible_frames = 0;
   const auto max_replay =
       static_cast<std::size_t>(std::max(config_.replay_steps, 0));
   {
-    obs::ScopedStage stage(prof, "encode", &encode_ns, span);
-    ps_->PreparePulls();
+    obs::ScopedStage stage(prof, "encode", &phases.encode_ns, span);
     std::vector<util::ByteBuffer> step_frames(num_tensors);
     for (std::size_t t = 0; t < num_tensors; ++t) {
       util::ByteSpan payload = ps_->PullPayload(t);
@@ -965,8 +946,6 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
       ring.pop_front();
     }
   }
-  const double codec_seconds = decode_cpu_s + encode_cpu.ElapsedSeconds();
-
   // Write-ahead server checkpoint: this step's state is final (aggregate
   // applied, pulls encoded, ring updated) and nothing has been sent, so a
   // crash from here on restores to a point no worker can be ahead of.
@@ -1049,14 +1028,15 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
           8.0 * static_cast<double>(st.pull_bytes) /
           static_cast<double>(st.pull_values);
     }
-    st.codec_seconds = codec_seconds;
+    st.codec_seconds =
+        1e-9 * static_cast<double>(phases.decode_ns + phases.aggregate_ns +
+                                   phases.encode_ns);
     st.contributors = static_cast<int>(num_contributors);
-    const ps::ParameterServer::StepTimings& split = ps_->step_timings();
     st.phases_ms = {{"step_barrier", obs::NsToMs(barrier_ns)},
-                    {"decode", obs::NsToMs(split.decode_ns)},
-                    {"aggregate", obs::NsToMs(split.aggregate_ns)},
-                    {"optimize", obs::NsToMs(optimize_ns)},
-                    {"encode", obs::NsToMs(encode_ns)},
+                    {"decode", obs::NsToMs(phases.decode_ns)},
+                    {"aggregate", obs::NsToMs(phases.aggregate_ns)},
+                    {"optimize", obs::NsToMs(phases.optimize_ns)},
+                    {"encode", obs::NsToMs(phases.encode_ns)},
                     {"checkpoint", obs::NsToMs(checkpoint_ns)},
                     {"fan_out", obs::NsToMs(fanout_ns)}};
     tel->LogStep(st);

@@ -81,14 +81,8 @@ DistributedTrainer::DistributedTrainer(TrainerConfig config,
                                      config_.min_compress_elems);
   codec_ = std::shared_ptr<const compress::Compressor>(
       compress::MakeCompressor(config_.codec));
-  std::unique_ptr<nn::Optimizer> optimizer;
-  if (config_.optimizer_kind == TrainerConfig::OptimizerKind::kAdam) {
-    optimizer = std::make_unique<nn::Adam>(config_.adam);
-  } else {
-    optimizer = std::make_unique<nn::MomentumSgd>(config_.optimizer);
-  }
   server_ = std::make_unique<ps::ParameterServer>(global_model_, plan_, codec_,
-                                                  std::move(optimizer));
+                                                  config_.optimizer);
 
   util::Rng seeder(config_.seed);
   worker_models_.reserve(static_cast<std::size_t>(config_.num_workers));
@@ -274,11 +268,10 @@ TrainResult DistributedTrainer::Run() {
   std::vector<double> compute_mult(num_workers, 1.0);
   std::vector<std::size_t> worker_order(num_workers);
 
-  // Per-worker push payloads (one buffer holding all tensors in order) and
-  // per-worker measured codec seconds for this step.
-  std::vector<util::ByteBuffer> push_payloads(num_workers);
-  std::vector<std::vector<std::size_t>> push_sizes(
-      num_workers, std::vector<std::size_t>(num_tensors, 0));
+  // Push payloads, one buffer per tensor per worker ([w][t], as the RPC
+  // server collects them), and per-worker codec seconds for this step.
+  std::vector<std::vector<util::ByteBuffer>> push_payloads(
+      num_workers, std::vector<util::ByteBuffer>(num_tensors));
   std::vector<double> worker_encode_s(num_workers, 0.0);
   std::vector<double> worker_decode_s(num_workers, 0.0);
   std::vector<double> worker_loss(num_workers, 0.0);
@@ -303,7 +296,6 @@ TrainResult DistributedTrainer::Run() {
     StepRecord rec;
     rec.step = step;
     rec.lr = schedule.At(step);
-    server_->BeginStep();
     std::fill(worker_ns.begin(), worker_ns.end(), WorkerPhaseNs{});
     const obs::SpanTarget server_span{tracer, 0, step};
 
@@ -327,10 +319,9 @@ TrainResult DistributedTrainer::Run() {
                            ? compute_mult[a] < compute_mult[b]
                            : a < b;
               });
-    std::vector<bool> contributes(num_workers, false);
-    for (std::size_t i = 0; i < quorum; ++i) {
-      contributes[worker_order[i]] = true;
-    }
+    std::vector<std::size_t> contributors(worker_order.begin(),
+                                          worker_order.begin() + quorum);
+    std::sort(contributors.begin(), contributors.end());
     // The barrier waits for the slowest *contributing* worker.
     rec.compute_multiplier = compute_mult[worker_order[quorum - 1]];
     rec.contributors = static_cast<int>(quorum);
@@ -349,7 +340,6 @@ TrainResult DistributedTrainer::Run() {
             worker_models_[w].TrainStep(batch.inputs, batch.labels);
         worker_loss[w] = loss.loss;
       }
-      push_payloads[w].Clear();
       obs::ScopedStage stage(prof, "encode_push", &worker_ns[w].encode_push,
                              span);
       util::CpuTimer timer;
@@ -357,7 +347,8 @@ TrainResult DistributedTrainer::Run() {
         compress::EncodeStats* stats =
             per_tensor ? &(push_stats[w][t] = compress::EncodeStats{})
                        : nullptr;
-        push_sizes[w][t] = workers_[w]->EncodePush(t, push_payloads[w], stats);
+        push_payloads[w][t].Clear();
+        workers_[w]->EncodePush(t, push_payloads[w][t], stats);
       }
       worker_encode_s[w] = timer.ElapsedSeconds();
     };
@@ -367,45 +358,16 @@ TrainResult DistributedTrainer::Run() {
       for (std::size_t w = 0; w < num_workers; ++w) compute_and_encode(w);
     }
 
-    // --- Server: decode + aggregate pushes in fixed worker order.
-    double server_decode_s = 0.0;
-    std::uint64_t decode_aggregate_ns = 0;
+    // --- Server step over the quorum only: a backup worker's push is
+    // never decoded. Its phases nest under server_step, as in the RPC
+    // server's step.
+    ps::ParameterServer::StepTimings server_ns;
     {
-      obs::ScopedStage stage(prof, "decode_aggregate", &decode_aggregate_ns,
-                             server_span);
-      for (std::size_t w = 0; w < num_workers; ++w) {
-        util::ByteReader reader(push_payloads[w]);
-        util::CpuTimer timer;
-        for (std::size_t t = 0; t < num_tensors; ++t) {
-          server_->ReceivePush(t, reader, contributes[w]);
-          const auto values =
-              static_cast<std::size_t>(plan_.entry(t).shape.num_elements());
-          rec.push_bytes += push_sizes[w][t];
-          rec.push_values += values;
-          if (plan_.entry(t).compressed) {
-            rec.push_bytes_codec += push_sizes[w][t];
-            rec.push_values_codec += values;
-          }
-        }
-        server_decode_s += timer.ElapsedSeconds();
-        THREELC_CHECK_MSG(reader.AtEnd(), "push payload not fully consumed");
-      }
+      obs::ScopedStage stage(prof, "server_step", nullptr, server_span);
+      server_ns =
+          server_->Step(push_payloads, contributors, rec.lr, server_span,
+                        per_tensor ? &pull_stats : nullptr);
     }
-
-    // --- Model update + shared pull compression (encoded once).
-    std::uint64_t optimize_ns = 0;
-    {
-      obs::ScopedStage stage(prof, "optimize", &optimize_ns, server_span);
-      server_->Update(rec.lr, static_cast<int>(quorum));
-    }
-    util::CpuTimer pull_encode_timer;
-    std::uint64_t encode_pull_ns = 0;
-    {
-      obs::ScopedStage stage(prof, "encode_pull", &encode_pull_ns,
-                             server_span);
-      server_->PreparePulls(per_tensor ? &pull_stats : nullptr);
-    }
-    const double pull_encode_s = pull_encode_timer.ElapsedSeconds();
 
     // --- Workers decode and apply the shared pull payloads (parallel).
     auto apply_pulls = [&](std::size_t w) {
@@ -425,15 +387,24 @@ TrainResult DistributedTrainer::Run() {
       for (std::size_t w = 0; w < num_workers; ++w) apply_pulls(w);
     }
     for (std::size_t t = 0; t < num_tensors; ++t) {
-      // Each worker pulls its own copy of the shared payload over the wire.
-      const std::size_t bytes = server_->PullPayload(t).size() * num_workers;
+      // Every worker pushes (a backup worker's push crosses the wire even
+      // though the server drops it) and pulls its own copy of the shared
+      // payload.
+      std::size_t push_bytes = 0;
+      for (const auto& row : push_payloads) push_bytes += row[t].size();
+      const std::size_t pull_bytes =
+          server_->PullPayload(t).size() * num_workers;
       const auto values =
           static_cast<std::size_t>(plan_.entry(t).shape.num_elements()) *
           num_workers;
-      rec.pull_bytes += bytes;
+      rec.push_bytes += push_bytes;
+      rec.pull_bytes += pull_bytes;
+      rec.push_values += values;
       rec.pull_values += values;
       if (plan_.entry(t).compressed) {
-        rec.pull_bytes_codec += bytes;
+        rec.push_bytes_codec += push_bytes;
+        rec.pull_bytes_codec += pull_bytes;
+        rec.push_values_codec += values;
         rec.pull_values_codec += values;
       }
     }
@@ -442,7 +413,9 @@ TrainResult DistributedTrainer::Run() {
     // separate machines (max), the server is one machine (sum + once).
     rec.codec_seconds =
         *std::max_element(worker_encode_s.begin(), worker_encode_s.end()) +
-        server_decode_s + pull_encode_s +
+        1e-9 * static_cast<double>(server_ns.decode_ns +
+                                   server_ns.aggregate_ns +
+                                   server_ns.encode_ns) +
         *std::max_element(worker_decode_s.begin(), worker_decode_s.end());
 
     double loss_sum = 0.0;
@@ -464,9 +437,10 @@ TrainResult DistributedTrainer::Run() {
           rec,
           {{"forward_backward", max_ms(&WorkerPhaseNs::forward_backward)},
            {"encode_push", max_ms(&WorkerPhaseNs::encode_push)},
-           {"decode_aggregate", obs::NsToMs(decode_aggregate_ns)},
-           {"optimize", obs::NsToMs(optimize_ns)},
-           {"encode_pull", obs::NsToMs(encode_pull_ns)},
+           {"decode", obs::NsToMs(server_ns.decode_ns)},
+           {"aggregate", obs::NsToMs(server_ns.aggregate_ns)},
+           {"optimize", obs::NsToMs(server_ns.optimize_ns)},
+           {"encode", obs::NsToMs(server_ns.encode_ns)},
            {"decode_pull", max_ms(&WorkerPhaseNs::decode_pull)}},
           push_stats, pull_stats);
       if (metrics_on) {

@@ -22,7 +22,6 @@
 #include "data/dataset.h"
 #include "net/traffic_meter.h"
 #include "obs/telemetry.h"
-#include "nn/adam.h"
 #include "nn/lr_schedule.h"
 #include "nn/model.h"
 #include "nn/optimizer.h"
@@ -40,12 +39,8 @@ struct TrainerConfig {
   // Cosine decay lr_max -> lr_min over total_steps (paper §5.2).
   float lr_max = 0.1f;
   float lr_min = 0.001f;
-  // Server-side optimizer. The paper uses momentum SGD; Adam is available
-  // for workloads where it converges better.
-  enum class OptimizerKind { kMomentumSgd, kAdam };
-  OptimizerKind optimizer_kind = OptimizerKind::kMomentumSgd;
+  // Server-side momentum SGD (the paper's optimizer).
   nn::MomentumOptions optimizer;  // momentum 0.9, weight decay 1e-4
-  nn::AdamOptions adam;           // used when optimizer_kind == kAdam
   compress::CodecConfig codec;
   // Tensors smaller than this bypass compression (small-layer path).
   std::int64_t min_compress_elems = 256;
@@ -93,8 +88,9 @@ struct StepRecord {
   std::size_t pull_bytes_codec = 0;
   std::size_t push_values_codec = 0;
   std::size_t pull_values_codec = 0;
-  // Codec CPU seconds, already reduced to the critical path of one step:
-  // max-over-workers for parallel stages, sum for the serial server stage.
+  // Codec seconds, already reduced to the critical path of one step:
+  // max-over-workers of thread CPU time for the parallel worker stages,
+  // plus the server step's decode, aggregate and encode phases.
   double codec_seconds = 0.0;
   // Multiplier on the base compute time that this step's barrier actually
   // waited for (k-th fastest worker under straggler simulation; 1.0 when

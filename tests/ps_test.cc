@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "compress/factory.h"
 #include "nn/optimizer.h"
@@ -25,6 +28,16 @@ train::MlpSpec TinySpec() { return {6, {16}, 3, true}; }
 std::shared_ptr<const compress::Compressor> Codec(const CodecConfig& cfg) {
   return std::shared_ptr<const compress::Compressor>(
       compress::MakeCompressor(cfg));
+}
+
+// A Step's pushes[w][t]: one payload per tensor per worker.
+using Pushes = std::vector<std::vector<util::ByteBuffer>>;
+
+// One worker's push: one payload per tensor, the pushes[w] row of a Step.
+std::vector<util::ByteBuffer> EncodePushes(Worker& worker, std::size_t n) {
+  std::vector<util::ByteBuffer> row(n);
+  for (std::size_t t = 0; t < n; ++t) worker.EncodePush(t, row[t]);
+  return row;
 }
 
 // ---------- TensorPlan ----------
@@ -84,19 +97,16 @@ class PsLossless : public ::testing::Test {
     for (auto& p : model.Params()) p.grad->Fill(value);
   }
 
-  void OneStep(float lr) {
-    server_->BeginStep();
+  Pushes AllPushes() {
+    Pushes pushes;
     for (auto& worker : workers_) {
-      util::ByteBuffer buf;
-      for (std::size_t t = 0; t < plan_.size(); ++t) {
-        worker->EncodePush(t, buf);
-      }
-      util::ByteReader reader(buf);
-      for (std::size_t t = 0; t < plan_.size(); ++t) {
-        server_->ReceivePush(t, reader);
-      }
+      pushes.push_back(EncodePushes(*worker, plan_.size()));
     }
-    server_->UpdateAndPreparePulls(lr, 3);
+    return pushes;
+  }
+
+  void OneStep(float lr) {
+    server_->Step(AllPushes(), {0, 1, 2}, lr);
     for (auto& worker : workers_) {
       for (std::size_t t = 0; t < plan_.size(); ++t) {
         util::ByteReader reader(server_->PullPayload(t));
@@ -117,19 +127,30 @@ TEST_F(PsLossless, AggregationAveragesGradients) {
   FillGrads(worker_models_[0], 1.0f);
   FillGrads(worker_models_[1], 2.0f);
   FillGrads(worker_models_[2], 3.0f);
-  server_->BeginStep();
-  for (auto& worker : workers_) {
-    util::ByteBuffer buf;
-    for (std::size_t t = 0; t < plan_.size(); ++t) worker->EncodePush(t, buf);
-    util::ByteReader reader(buf);
-    for (std::size_t t = 0; t < plan_.size(); ++t) {
-      server_->ReceivePush(t, reader);
-    }
-  }
-  server_->UpdateAndPreparePulls(0.0f, 3);
+  server_->Step(AllPushes(), {0, 1, 2}, 0.0f);
   // Averaged gradient = (1+2+3)/3 = 2 for every element.
   const Tensor& agg = server_->AggregatedGrad(0);
   for (std::size_t i = 0; i < agg.size(); ++i) EXPECT_FLOAT_EQ(agg[i], 2.0f);
+}
+
+TEST_F(PsLossless, NonContributorPushesAreNeitherReadNorAveraged) {
+  FillGrads(worker_models_[0], 1.0f);
+  FillGrads(worker_models_[2], 3.0f);
+  auto pushes = AllPushes();
+  // Worker 1 is a backup worker this step: its row is garbage that would
+  // throw if decoded, and it must not count toward the average either.
+  for (util::ByteBuffer& payload : pushes[1]) {
+    payload.Clear();
+    payload.AppendU8(0xFF);
+  }
+  ASSERT_NO_THROW(server_->Step(pushes, {0, 2}, 0.0f));
+  // Averaged over the two contributors: (1+3)/2 = 2 for every element.
+  for (std::size_t t = 0; t < plan_.size(); ++t) {
+    const Tensor& agg = server_->AggregatedGrad(t);
+    for (std::size_t i = 0; i < agg.size(); ++i) {
+      EXPECT_FLOAT_EQ(agg[i], 2.0f) << plan_.entry(t).name;
+    }
+  }
 }
 
 TEST_F(PsLossless, WorkersTrackGlobalModelExactly) {
@@ -217,12 +238,7 @@ TEST(PsLossy, ThreeLCPullsTrackGlobalModelWithinBound) {
     for (auto& p : worker_model.Params()) {
       tensor::FillNormal(*p.grad, rng, 0.0f, 0.5f);
     }
-    server.BeginStep();
-    util::ByteBuffer buf;
-    for (std::size_t t = 0; t < plan.size(); ++t) worker.EncodePush(t, buf);
-    util::ByteReader reader(buf);
-    for (std::size_t t = 0; t < plan.size(); ++t) server.ReceivePush(t, reader);
-    server.UpdateAndPreparePulls(0.05f, 1);
+    server.Step({EncodePushes(worker, plan.size())}, {0}, 0.05f);
     for (std::size_t t = 0; t < plan.size(); ++t) {
       util::ByteReader pull(server.PullPayload(t));
       worker.ApplyPull(t, pull);
@@ -270,17 +286,71 @@ TEST(PsLossy, UncompressedEntriesAreExact) {
   ASSERT_FALSE(plan.entry(1).compressed);
   auto params = wm.Params();
   params[1].grad->Fill(0.123f);
-  util::ByteBuffer buf;
-  const std::size_t bytes = worker.EncodePush(1, buf);
-  EXPECT_EQ(bytes, params[1].grad->byte_size());
-  util::ByteReader reader(buf);
+  Pushes pushes(1, std::vector<util::ByteBuffer>(plan.size()));
+  for (std::size_t t = 0; t < plan.size(); ++t) {
+    const std::size_t bytes = worker.EncodePush(t, pushes[0][t]);
+    if (t == 1) {
+      EXPECT_EQ(bytes, params[1].grad->byte_size());
+    }
+  }
   ParameterServer server(global, plan, codec, {0.0f, 0.0f});
-  server.BeginStep();
-  server.ReceivePush(1, reader);
+  server.Step(pushes, {0}, 0.0f);
   const Tensor& agg = server.AggregatedGrad(1);
   for (std::size_t i = 0; i < agg.size(); ++i) {
     EXPECT_FLOAT_EQ(agg[i], 0.123f);
   }
+}
+
+// A push that does not decode cleanly fails the step with a message naming
+// the worker and tensor it came from.
+TEST(PsLossy, StepRejectsBadPushNamingWorkerAndTensor) {
+  auto global = train::BuildMlp(TinySpec(), 8);
+  auto plan = TensorPlan::FromParams(global.Params(), 20);
+  ASSERT_TRUE(plan.entry(0).compressed);    // fc1/W through 3LC
+  ASSERT_FALSE(plan.entry(1).compressed);   // fc1/b as raw float32
+  auto codec = Codec(CodecConfig::ThreeLC(1.0f));
+  ParameterServer server(global, plan, codec, {0.9f, 0.0f});
+  std::vector<nn::Model> models;
+  Pushes valid;
+  util::Rng rng(13);
+  for (int w = 0; w < 3; ++w) {
+    models.push_back(train::BuildMlp(TinySpec(), 8));
+    for (auto& p : models.back().Params()) {
+      tensor::FillNormal(*p.grad, rng, 0.0f, 1.0f);
+    }
+    Worker worker(w, models.back(), plan, codec);
+    valid.push_back(EncodePushes(worker, plan.size()));
+  }
+  const auto expect_throw = [&](const Pushes& pushes,
+                                const std::string& what) {
+    try {
+      server.Step(pushes, {0, 1, 2}, 0.1f);
+      ADD_FAILURE() << "no throw; expected " << what;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+
+  auto trailing = valid;
+  trailing[1][0].AppendU8(0);
+  expect_throw(trailing,
+               "trailing bytes in PUSH payload from worker 1 tensor 0");
+
+  auto truncated = valid;
+  truncated[2][1].Resize(truncated[2][1].size() - 1);
+  expect_throw(truncated, "malformed PUSH payload from worker 2 tensor 1");
+
+  // Well-framed 3LC bytes (M, then an empty quartic stream) that cannot
+  // cover the tensor.
+  auto malformed = valid;
+  malformed[0][0].Clear();
+  malformed[0][0].AppendF32(1.0f);
+  malformed[0][0].AppendU32(0);
+  expect_throw(malformed, "malformed PUSH payload from worker 0 tensor 0");
+
+  // Each rejection happened before the optimizer ran; valid pushes step.
+  EXPECT_NO_THROW(server.Step(valid, {0, 1, 2}, 0.1f));
 }
 
 }  // namespace

@@ -329,6 +329,67 @@ TEST(RpcRuntime, CorruptedBytesFailServerCleanly) {
   EXPECT_FALSE(h.server->error().empty());
 }
 
+// A PUSH whose payload decodes but leaves a byte over is a protocol fault:
+// the server names the worker and tensor and fails cleanly, completing no
+// step.
+TEST(RpcRuntime, TrailingBytesInPushFailServerCleanly) {
+  TestSetup setup = MakeTestSetup(1, 1, compress::CodecConfig::ThreeLC(1.0f));
+  ServerHarness h = MakeServer(setup);
+  std::string error;
+  ASSERT_TRUE(h.server->Listen(&error)) << error;
+
+  bool server_ok = true;
+  std::thread server_thread([&] { server_ok = h.server->Run(); });
+
+  const std::size_t last = h.plan->size() - 1;
+  {
+    RetryOptions retry;
+    std::string connect_error;
+    const int fd = ConnectWithRetry("127.0.0.1", h.server->port(), retry,
+                                    nullptr, &connect_error);
+    ASSERT_GE(fd, 0) << connect_error;
+    Connection fake(fd);
+    HandshakePayload payload;
+    payload.worker_id = 0;
+    payload.plan_hash = PlanHash(*h.plan, h.codec->name());
+    payload.codec = h.codec->name();
+    util::ByteBuffer hello;
+    EncodeHandshake(payload, /*rejoin=*/false, hello);
+    ASSERT_TRUE(fake.SendFrame(MsgType::kHello, 0, 0, hello.span()));
+    Frame ack;
+    ASSERT_EQ(fake.WaitFrame(&ack, 5000), Connection::IoResult::kOk);
+    ASSERT_EQ(ack.header.type, MsgType::kHelloAck);
+
+    // Step 0's pushes, each a valid codec payload; the last tensor's has
+    // one byte too many.
+    nn::Model model =
+        train::BuildMlp(setup.config.model, setup.config.model_seed);
+    ps::Worker worker(0, model, *h.plan, h.codec);
+    for (std::size_t t = 0; t <= last; ++t) {
+      util::ByteBuffer push;
+      worker.EncodePush(t, push);
+      if (t == last) push.AppendU8(0);
+      ASSERT_TRUE(fake.SendFrame(MsgType::kPush, 0,
+                                 static_cast<std::uint32_t>(t), push.span()));
+    }
+    util::ByteBuffer stats;
+    stats.AppendF32(1.0f);
+    ASSERT_TRUE(fake.SendFrame(MsgType::kStepStats, 0, 0, stats.span()));
+    ASSERT_EQ(fake.FlushOutput(2000), Connection::IoResult::kOk);
+    // Hold the socket open until the server is done, so the failure seen
+    // is the step's and not the disconnect's.
+    server_thread.join();
+  }
+
+  EXPECT_FALSE(server_ok);
+  EXPECT_NE(h.server->error().find(
+                "trailing bytes in PUSH payload from worker 0 tensor " +
+                std::to_string(last)),
+            std::string::npos)
+      << h.server->error();
+  EXPECT_EQ(h.server->steps_completed(), 0);
+}
+
 // Send one HELLO or REJOIN (a valid one, then `tamper`ed) to a fresh
 // one-worker server and return the error its run fails with. The server
 // answers a rejected handshake with an ERROR frame or a close.

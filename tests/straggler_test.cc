@@ -90,15 +90,6 @@ TEST_F(StragglerTest, TrainingStillConvergesWithBackupWorkers) {
   EXPECT_GT(r.final_test_accuracy, 0.3);
 }
 
-TEST_F(StragglerTest, AdamServerOptimizerConverges) {
-  ExperimentConfig cfg = *config_;
-  cfg.trainer.optimizer_kind = TrainerConfig::OptimizerKind::kAdam;
-  cfg.trainer.lr_max = 0.005f;
-  cfg.trainer.lr_min = 0.0005f;
-  auto r = RunDesign(cfg, CodecConfig::ThreeLC(1.0f), 120, *data_);
-  EXPECT_GT(r.final_test_accuracy, 0.3);
-}
-
 TEST_F(StragglerTest, JitterProducesMultipliersAboveOne) {
   ExperimentConfig cfg = *config_;
   cfg.trainer.straggler_jitter = 0.2;
