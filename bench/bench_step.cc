@@ -2,9 +2,10 @@
 //
 // Runs a real RpcServer + N RpcWorker threads over loopback TCP (the same
 // wiring as examples/distributed_training) with server telemetry on, then
-// reads the step/total_ms and step/<phase>_ms histograms the server
-// recorded and emits a machine-readable BENCH_step.json for
-// tools/check_perf.py.
+// takes the step-latency quantiles from the step log's exact step_wall_ms
+// and each phase's mean from the server's step/<phase>_ns histogram
+// (total / count, so it equals the step log's mean), and emits a
+// machine-readable BENCH_step.json for tools/check_perf.py.
 //
 // Also enforces the monitoring-overhead budget: with telemetry on, the
 // stage-profiler scopes sprinkled through the codec, transport, and server
@@ -92,8 +93,8 @@ bool RunOneWorker(const train::ExperimentConfig& config,
 }
 
 // Exact per-step wall times parsed from the telemetry step log — the
-// step/total_ms histogram's 5ms bins are too coarse to gate a 10%
-// regression on a low-single-digit-ms loopback step.
+// step/total_ns histogram's log2 buckets are too coarse to gate a 10%
+// regression.
 std::vector<double> ParseStepWallMs(const std::string& path) {
   std::vector<double> out;
   std::ifstream in(path);
@@ -232,10 +233,10 @@ int main(int argc, char** argv) {
   const char* phases[] = {"step_barrier", "decode",     "aggregate", "optimize",
                           "encode",       "checkpoint", "fan_out"};
   for (const char* phase : phases) {
-    obs::HistogramStat* h = tel.metrics().histogram(
-        std::string("step/") + phase + "_ms", 0.0, 1000.0, 200);
+    const obs::DurationHistogram h =
+        tel.metrics().histogram(std::string("step/") + phase + "_ns")->Read();
     metrics.push_back({std::string("phase_mean_ms/") + phase,
-                       h->stat().mean(), "ms", false});
+                       h.mean_ns() * 1e-6, "ms", false});
   }
 
   // --- Monitoring-overhead budget ----------------------------------------
@@ -246,7 +247,7 @@ int main(int argc, char** argv) {
   // shared runners.
   std::uint64_t total_scopes = 0;
   for (const obs::StageSample& s : obs::StageProfiler::Global().Snapshot()) {
-    total_scopes += s.count;
+    total_scopes += s.hist.count;
   }
   const double scopes_per_step =
       static_cast<double>(total_scopes) / static_cast<double>(steps);

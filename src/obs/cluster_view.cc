@@ -7,7 +7,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/json.h"
-#include "obs/stage_profiler.h"
+#include "obs/prometheus.h"
 
 namespace threelc::obs {
 
@@ -44,18 +44,6 @@ const char* StragglerCauseName(StragglerCause cause) {
     case StragglerCause::kNetwork: return "network";
   }
   return "unknown";
-}
-
-void ClusterView::PhaseHist::Add(std::uint64_t ns) {
-  ++hist[StageLog2Bucket(ns)];
-  ++count;
-  total_ns += ns;
-}
-
-void ClusterView::PhaseHist::MergeInto(PhaseHist& into) const {
-  for (int b = 0; b < kHistogramBuckets; ++b) into.hist[b] += hist[b];
-  into.count += count;
-  into.total_ns += total_ns;
 }
 
 ClusterView::ClusterView(FlightRecorder* flight) : flight_(flight) {}
@@ -196,22 +184,17 @@ void ClusterView::AppendWorkerJson(std::string& out, int id,
   out += ",\"phases\":{";
   for (int p = 0; p < kPhases; ++p) {
     if (p > 0) out += ",";
-    const PhaseHist& h = w.phases[p];
+    const DurationHistogram& h = w.phases[p];
     out += "\"";
     out += kPhaseNames[p];
     out += "\":{\"p50_ns\":";
-    AppendJsonNumber(out, StageQuantileNs(h.hist, kHistogramBuckets, h.count,
-                                          0.50));
+    AppendJsonNumber(out, h.Quantile(0.50));
     out += ",\"p95_ns\":";
-    AppendJsonNumber(out, StageQuantileNs(h.hist, kHistogramBuckets, h.count,
-                                          0.95));
+    AppendJsonNumber(out, h.Quantile(0.95));
     out += ",\"p99_ns\":";
-    AppendJsonNumber(out, StageQuantileNs(h.hist, kHistogramBuckets, h.count,
-                                          0.99));
+    AppendJsonNumber(out, h.Quantile(0.99));
     out += ",\"mean_ns\":";
-    AppendJsonNumber(out, h.count > 0 ? static_cast<double>(h.total_ns) /
-                                            static_cast<double>(h.count)
-                                      : 0.0);
+    AppendJsonNumber(out, h.mean_ns());
     out += ",\"total_ns\":";
     AppendJsonNumber(out, h.total_ns);
     out += "}";
@@ -249,7 +232,7 @@ std::string ClusterView::ToJson() const {
   bool first = true;
   std::uint64_t fleet_records = 0, fleet_out = 0, fleet_in = 0;
   std::uint64_t fleet_stage1_out = 0, fleet_stage1_in = 0;
-  PhaseHist fleet[kPhases];
+  DurationHistogram fleet[kPhases];
   for (const auto& [id, w] : workers_) {
     if (!first) out += ",";
     first = false;
@@ -259,7 +242,7 @@ std::string ClusterView::ToJson() const {
     fleet_in += w.bytes_in;
     fleet_stage1_out += w.stage1_bytes_out;
     fleet_stage1_in += w.stage1_bytes_in;
-    for (int p = 0; p < kPhases; ++p) w.phases[p].MergeInto(fleet[p]);
+    for (int p = 0; p < kPhases; ++p) fleet[p].Merge(w.phases[p]);
   }
   out += "},\"fleet\":{\"workers\":";
   AppendJsonNumber(out, static_cast<std::uint64_t>(workers_.size()));
@@ -304,14 +287,11 @@ std::string ClusterView::ToJson() const {
     out += "\"";
     out += kPhaseNames[p];
     out += "\":{\"p50_ns\":";
-    AppendJsonNumber(out, StageQuantileNs(fleet[p].hist, kHistogramBuckets,
-                                          fleet[p].count, 0.50));
+    AppendJsonNumber(out, fleet[p].Quantile(0.50));
     out += ",\"p95_ns\":";
-    AppendJsonNumber(out, StageQuantileNs(fleet[p].hist, kHistogramBuckets,
-                                          fleet[p].count, 0.95));
+    AppendJsonNumber(out, fleet[p].Quantile(0.95));
     out += ",\"p99_ns\":";
-    AppendJsonNumber(out, StageQuantileNs(fleet[p].hist, kHistogramBuckets,
-                                          fleet[p].count, 0.99));
+    AppendJsonNumber(out, fleet[p].Quantile(0.99));
     out += ",\"total_ns\":";
     AppendJsonNumber(out, fleet[p].total_ns);
     out += "}";
@@ -361,141 +341,105 @@ void ClusterView::WritePrometheus(std::ostream& out,
   // worker was evicted — that is exactly when a scrape wants them.
   if (workers_.empty() && lease_expiries_by_worker_.empty()) return;
   std::string text;
-  char buf[64];
   const std::string base = prefix + "cluster_";
-  auto fmt = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return std::string(buf);
+  const auto worker = [](int id) {
+    return "worker=\"" + std::to_string(id) + "\"";
   };
 
-  text += "# HELP " + base + "workers Workers currently tracked\n";
-  text += "# TYPE " + base + "workers gauge\n";
-  text += base + "workers " + std::to_string(workers_.size()) + "\n";
+  AppendHeader(text, base + "workers", "gauge", "Workers currently tracked");
+  AppendSample(text, base + "workers", std::uint64_t{workers_.size()});
 
-  text += "# HELP " + base +
-          "straggler_flips_total Times the slowest worker changed\n";
-  text += "# TYPE " + base + "straggler_flips_total counter\n";
-  text += base + "straggler_flips_total " + std::to_string(straggler_flips_) +
-          "\n";
+  AppendHeader(text, base + "straggler_flips_total", "counter",
+               "Times the slowest worker changed");
+  AppendSample(text, base + "straggler_flips_total", straggler_flips_);
 
-  text += "# HELP " + base +
-          "worker_records_total Telemetry records ingested per worker\n";
-  text += "# TYPE " + base + "worker_records_total counter\n";
+  AppendHeader(text, base + "worker_records_total", "counter",
+               "Telemetry records ingested per worker");
   for (const auto& [id, w] : workers_) {
-    text += base + "worker_records_total{worker=\"" + std::to_string(id) +
-            "\"} " + std::to_string(w.records) + "\n";
+    AppendSample(text, base + "worker_records_total{" + worker(id) + "}",
+                 w.records);
   }
 
-  text += "# HELP " + base +
-          "worker_bytes_total Encoded payload bytes per worker\n";
-  text += "# TYPE " + base + "worker_bytes_total counter\n";
+  AppendHeader(text, base + "worker_bytes_total", "counter",
+               "Encoded payload bytes per worker");
   for (const auto& [id, w] : workers_) {
-    text += base + "worker_bytes_total{worker=\"" + std::to_string(id) +
-            "\",direction=\"out\"} " + std::to_string(w.bytes_out) + "\n";
-    text += base + "worker_bytes_total{worker=\"" + std::to_string(id) +
-            "\",direction=\"in\"} " + std::to_string(w.bytes_in) + "\n";
+    const std::string series = base + "worker_bytes_total{" + worker(id);
+    AppendSample(text, series + ",direction=\"out\"}", w.bytes_out);
+    AppendSample(text, series + ",direction=\"in\"}", w.bytes_in);
   }
 
-  text += "# HELP " + base +
-          "worker_stage1_bytes_total First-stage (pre-block-codec) payload "
-          "bytes per worker\n";
-  text += "# TYPE " + base + "worker_stage1_bytes_total counter\n";
+  AppendHeader(text, base + "worker_stage1_bytes_total", "counter",
+               "First-stage (pre-block-codec) payload bytes per worker");
   for (const auto& [id, w] : workers_) {
-    text += base + "worker_stage1_bytes_total{worker=\"" +
-            std::to_string(id) + "\",direction=\"out\"} " +
-            std::to_string(w.stage1_bytes_out) + "\n";
-    text += base + "worker_stage1_bytes_total{worker=\"" +
-            std::to_string(id) + "\",direction=\"in\"} " +
-            std::to_string(w.stage1_bytes_in) + "\n";
+    const std::string series =
+        base + "worker_stage1_bytes_total{" + worker(id);
+    AppendSample(text, series + ",direction=\"out\"}", w.stage1_bytes_out);
+    AppendSample(text, series + ",direction=\"in\"}", w.stage1_bytes_in);
   }
 
-  text += "# HELP " + base +
-          "worker_rejoins Reconnects reported by each worker\n";
-  text += "# TYPE " + base + "worker_rejoins gauge\n";
+  AppendHeader(text, base + "worker_rejoins", "gauge",
+               "Reconnects reported by each worker");
   for (const auto& [id, w] : workers_) {
-    text += base + "worker_rejoins{worker=\"" + std::to_string(id) + "\"} " +
-            std::to_string(w.rejoins) + "\n";
+    AppendSample(text, base + "worker_rejoins{" + worker(id) + "}",
+                 std::uint64_t{w.rejoins});
   }
 
-  text += "# HELP " + base +
-          "worker_ea_l2 Latest error-accumulation buffer L2 per worker\n";
-  text += "# TYPE " + base + "worker_ea_l2 gauge\n";
+  AppendHeader(text, base + "worker_ea_l2", "gauge",
+               "Latest error-accumulation buffer L2 per worker");
   for (const auto& [id, w] : workers_) {
-    text += base + "worker_ea_l2{worker=\"" + std::to_string(id) + "\"} " +
-            fmt(w.ea_l2) + "\n";
+    AppendSample(text, base + "worker_ea_l2{" + worker(id) + "}", w.ea_l2);
   }
 
-  text += "# HELP " + base +
-          "straggler_steps_total Steps where the worker was last to the "
-          "barrier\n";
-  text += "# TYPE " + base + "straggler_steps_total counter\n";
+  AppendHeader(text, base + "straggler_steps_total", "counter",
+               "Steps where the worker was last to the barrier");
   for (const auto& [id, w] : workers_) {
-    text += base + "straggler_steps_total{worker=\"" + std::to_string(id) +
-            "\"} " + std::to_string(w.straggler_steps) + "\n";
+    AppendSample(text, base + "straggler_steps_total{" + worker(id) + "}",
+                 w.straggler_steps);
   }
 
-  text += "# HELP " + base +
-          "straggler_cause_total Straggler steps attributed per cause\n";
-  text += "# TYPE " + base + "straggler_cause_total counter\n";
+  AppendHeader(text, base + "straggler_cause_total", "counter",
+               "Straggler steps attributed per cause");
   for (const auto& [id, w] : workers_) {
     for (int c = 0; c < 3; ++c) {
       if (w.cause_counts[c] == 0) continue;
-      text += base + "straggler_cause_total{worker=\"" + std::to_string(id) +
-              "\",cause=\"" +
-              StragglerCauseName(static_cast<StragglerCause>(c)) + "\"} " +
-              std::to_string(w.cause_counts[c]) + "\n";
+      AppendSample(text,
+                   base + "straggler_cause_total{" + worker(id) +
+                       ",cause=\"" +
+                       StragglerCauseName(static_cast<StragglerCause>(c)) +
+                       "\"}",
+                   w.cause_counts[c]);
     }
   }
 
-  text += "# HELP " + base +
-          "phase_ns Per-worker step-phase duration distribution (ns)\n";
-  text += "# TYPE " + base + "phase_ns summary\n";
+  AppendHeader(text, base + "phase_ns", "summary",
+               "Per-worker step-phase duration distribution (ns)");
   for (const auto& [id, w] : workers_) {
     for (int p = 0; p < kPhases; ++p) {
-      const PhaseHist& h = w.phases[p];
-      const std::string labels = "{worker=\"" + std::to_string(id) +
-                                 "\",phase=\"" + kPhaseNames[p] + "\"";
-      const struct {
-        const char* q;
-        double v;
-      } quantiles[] = {
-          {"0.5", StageQuantileNs(h.hist, kHistogramBuckets, h.count, 0.50)},
-          {"0.95", StageQuantileNs(h.hist, kHistogramBuckets, h.count, 0.95)},
-          {"0.99", StageQuantileNs(h.hist, kHistogramBuckets, h.count, 0.99)}};
-      for (const auto& q : quantiles) {
-        text += base + "phase_ns" + labels + ",quantile=\"" + q.q + "\"} " +
-                fmt(q.v) + "\n";
-      }
-      text += base + "phase_ns_sum" + labels + "} " +
-              std::to_string(h.total_ns) + "\n";
-      text += base + "phase_ns_count" + labels + "} " +
-              std::to_string(h.count) + "\n";
+      AppendSummary(text, base + "phase_ns",
+                    worker(id) + ",phase=\"" + kPhaseNames[p] + "\"",
+                    w.phases[p], {0.5, 0.95, 0.99});
     }
   }
 
   if (!last_seen_.empty()) {
     const auto now = std::chrono::steady_clock::now();
-    text += "# HELP " + base +
-            "worker_heartbeat_age_ms Milliseconds since the last frame "
-            "from each worker\n";
-    text += "# TYPE " + base + "worker_heartbeat_age_ms gauge\n";
+    AppendHeader(text, base + "worker_heartbeat_age_ms", "gauge",
+                 "Milliseconds since the last frame from each worker");
     for (const auto& [id, when] : last_seen_) {
-      text += base + "worker_heartbeat_age_ms{worker=\"" +
-              std::to_string(id) + "\"} " +
-              fmt(std::chrono::duration<double, std::milli>(now - when)
-                      .count()) +
-              "\n";
+      AppendSample(
+          text, base + "worker_heartbeat_age_ms{" + worker(id) + "}",
+          std::chrono::duration<double, std::milli>(now - when).count());
     }
   }
 
   if (!lease_expiries_by_worker_.empty()) {
-    text += "# HELP " + base +
-            "worker_lease_expiries_total Lease expiries (hang/partition "
-            "detections) per worker; survives eviction\n";
-    text += "# TYPE " + base + "worker_lease_expiries_total counter\n";
+    AppendHeader(text, base + "worker_lease_expiries_total", "counter",
+                 "Lease expiries (hang/partition detections) per worker; "
+                 "survives eviction");
     for (const auto& [id, n] : lease_expiries_by_worker_) {
-      text += base + "worker_lease_expiries_total{worker=\"" +
-              std::to_string(id) + "\"} " + std::to_string(n) + "\n";
+      AppendSample(text,
+                   base + "worker_lease_expiries_total{" + worker(id) + "}",
+                   n);
     }
   }
   out << text;

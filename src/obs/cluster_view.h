@@ -7,10 +7,10 @@
 // why a step's barrier was long, and how compute / encode / network time
 // is distributed across the fleet.
 //
-// Aggregation reuses StageProfiler's 64-bucket log2(ns) histogram layout
-// (StageLog2Bucket / StageQuantileNs), so a per-worker histogram merged
-// at the server is bit-identical to the histogram the worker would have
-// built locally — merge exactness is unit-tested, not assumed.
+// Each worker phase is a DurationHistogram, the stage profiler's log2(ns)
+// layout, so a per-worker histogram merged at the server is bit-identical
+// to the histogram the worker would have built locally — merge exactness
+// is unit-tested, not assumed.
 //
 // Straggler attribution: the server calls RecordBarrier after each step
 // barrier with the last-arriving worker and the fleet's arrival spread.
@@ -33,6 +33,8 @@
 #include <map>
 #include <mutex>
 #include <string>
+
+#include "obs/duration_histogram.h"
 
 namespace threelc::obs {
 
@@ -64,7 +66,6 @@ struct WorkerStepRecord {
 class ClusterView {
  public:
   static constexpr int kPhases = 5;  // fb, encode, push, pull_wait, decode
-  static constexpr int kHistogramBuckets = 64;
   // Barrier observations waiting for the straggler's telemetry record.
   // Bounded: a worker that never ships telemetry (old protocol, crashed
   // mid-step) must not grow this map forever.
@@ -132,14 +133,6 @@ class ClusterView {
   int current_straggler() const;
 
  private:
-  struct PhaseHist {
-    std::uint64_t hist[kHistogramBuckets] = {};
-    std::uint64_t count = 0;
-    std::uint64_t total_ns = 0;
-    void Add(std::uint64_t ns);
-    void MergeInto(PhaseHist& into) const;
-  };
-
   struct WorkerState {
     std::int64_t last_step = -1;
     std::uint64_t records = 0;
@@ -149,7 +142,7 @@ class ClusterView {
     std::uint64_t stage1_bytes_in = 0;
     double ea_l2 = 0.0;       // latest
     std::uint32_t rejoins = 0;  // latest
-    PhaseHist phases[kPhases];
+    DurationHistogram phases[kPhases];
     std::uint64_t straggler_steps = 0;
     std::uint64_t cause_counts[3] = {};  // indexed by StragglerCause
     double barrier_wait_ms_sum = 0.0;

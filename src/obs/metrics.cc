@@ -1,29 +1,8 @@
 #include "obs/metrics.h"
 
-#include <ostream>
-
 #include "obs/json.h"
 
 namespace threelc::obs {
-
-void HistogramStat::MergeFrom(const HistogramStat& other) {
-  // Copy the other side out under its lock, then fold in under ours — never
-  // hold both locks at once (two threads cross-merging must not deadlock).
-  util::RunningStat other_stat;
-  util::Histogram other_bins(other.lo_, other.hi_, other.num_bins_);
-  {
-    std::lock_guard<std::mutex> lock(other.mu_);
-    other_stat = other.stat_;
-    other_bins = other.bins_;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  stat_.Merge(other_stat);
-  if (other.lo_ == lo_ && other.hi_ == hi_ && other.num_bins_ == num_bins_) {
-    bins_.Merge(other_bins);
-  }
-  // Bounds mismatch keeps our bins; the merged moments above still count
-  // the other side's mass.
-}
 
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
@@ -50,14 +29,13 @@ Gauge* MetricsRegistry::gauge(const std::string& name) {
   return it->second.get();
 }
 
-HistogramStat* MetricsRegistry::histogram(const std::string& name, double lo,
-                                          double hi, std::size_t bins) {
+HistogramStat* MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_
              .emplace(name, std::unique_ptr<HistogramStat>(
-                                new HistogramStat(&enabled_, lo, hi, bins)))
+                                new HistogramStat(&enabled_)))
              .first;
   }
   return it->second.get();
@@ -69,61 +47,17 @@ void MetricsRegistry::AddCounterBatch(const std::string& name, double v,
   counter(name)->AddSample(v, n);
 }
 
-void MetricsRegistry::Merge(const MetricsRegistry& other) {
-  // Snapshot other's metric pointers, then fold them in. Values read through
-  // the handles are atomics (or internally locked), so concurrent writers on
-  // `other` stay safe; counts may lag in-flight updates, which is fine for
-  // an export-time merge.
-  std::vector<std::pair<std::string, const Counter*>> counters;
-  std::vector<std::pair<std::string, const Gauge*>> gauges;
-  std::vector<std::pair<std::string, const HistogramStat*>> hists;
-  {
-    std::lock_guard<std::mutex> lock(other.mu_);
-    for (const auto& [name, c] : other.counters_) {
-      counters.emplace_back(name, c.get());
-    }
-    for (const auto& [name, g] : other.gauges_) {
-      gauges.emplace_back(name, g.get());
-    }
-    for (const auto& [name, h] : other.histograms_) {
-      hists.emplace_back(name, h.get());
-    }
-  }
-  // Write through the private fields so a Merge lands even when this
-  // registry is disabled (export-time merges must not drop data).
-  for (const auto& [name, c] : counters) {
-    // Read() gives a consistent (value, events) pair even while workers
-    // keep adding on the other side; AddSample folds it in atomically with
-    // respect to concurrent exporters of this registry.
-    const Counter::Snapshot snap = c->Read();
-    counter(name)->AddSample(snap.value, snap.events);
-  }
-  for (const auto& [name, g] : gauges) {
-    if (g->set()) {
-      Gauge* mine = gauge(name);
-      mine->value_.store(g->value(), std::memory_order_relaxed);
-      mine->set_.store(true, std::memory_order_relaxed);
-    }
-  }
-  for (const auto& [name, h] : hists) {
-    histogram(name, h->lo(), h->hi(), h->num_bins())->MergeFrom(*h);
-  }
-}
-
 namespace {
 
-void AppendHistogramFields(std::string& line, const HistogramStat& h) {
-  const util::RunningStat s = h.stat();
+void AppendHistogramFields(std::string& line, const DurationHistogram& h) {
   line += ",\"count\":";
-  AppendJsonNumber(line, static_cast<std::uint64_t>(s.count()));
+  AppendJsonNumber(line, h.count);
   line += ",\"mean\":";
-  AppendJsonNumber(line, s.mean());
-  line += ",\"stddev\":";
-  AppendJsonNumber(line, s.stddev());
+  AppendJsonNumber(line, h.mean_ns());
   line += ",\"min\":";
-  AppendJsonNumber(line, s.min());
+  AppendJsonNumber(line, h.min_ns);
   line += ",\"max\":";
-  AppendJsonNumber(line, s.max());
+  AppendJsonNumber(line, h.max_ns);
   line += ",\"p50\":";
   AppendJsonNumber(line, h.Quantile(0.5));
   line += ",\"p99\":";
@@ -146,66 +80,9 @@ MetricSnapshot MetricsRegistry::Snapshot() const {
   }
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {
-    const util::RunningStat s = h->stat();
-    snap.histograms.push_back({name, s.count(), s.sum(), s.mean(), s.stddev(),
-                               s.min(), s.max(), h->Quantile(0.5),
-                               h->Quantile(0.9), h->Quantile(0.99)});
+    snap.histograms.push_back({name, h->Read()});
   }
   return snap;
-}
-
-void MetricsRegistry::WriteJsonl(std::ostream& out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string line;
-  for (const auto& [name, c] : counters_) {
-    const Counter::Snapshot snap = c->Read();
-    line.clear();
-    line += "{\"metric\":";
-    AppendJsonEscaped(line, name);
-    line += ",\"type\":\"counter\",\"value\":";
-    AppendJsonNumber(line, snap.value);
-    line += ",\"events\":";
-    AppendJsonNumber(line, snap.events);
-    line += "}\n";
-    out << line;
-  }
-  for (const auto& [name, g] : gauges_) {
-    line.clear();
-    line += "{\"metric\":";
-    AppendJsonEscaped(line, name);
-    line += ",\"type\":\"gauge\",\"value\":";
-    AppendJsonNumber(line, g->value());
-    line += "}\n";
-    out << line;
-  }
-  for (const auto& [name, h] : histograms_) {
-    line.clear();
-    line += "{\"metric\":";
-    AppendJsonEscaped(line, name);
-    line += ",\"type\":\"histogram\"";
-    AppendHistogramFields(line, *h);
-    line += "}\n";
-    out << line;
-  }
-}
-
-void MetricsRegistry::WriteCsv(std::ostream& out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  out << "metric,type,value,events,mean,stddev,min,max,p50,p99\n";
-  for (const auto& [name, c] : counters_) {
-    const Counter::Snapshot snap = c->Read();
-    out << name << ",counter," << snap.value << "," << snap.events
-        << ",,,,,,\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    out << name << ",gauge," << g->value() << ",,,,,,,\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    const util::RunningStat s = h->stat();
-    out << name << ",histogram," << s.sum() << "," << s.count() << ","
-        << s.mean() << "," << s.stddev() << "," << s.min() << "," << s.max()
-        << "," << h->Quantile(0.5) << "," << h->Quantile(0.99) << "\n";
-  }
 }
 
 std::string MetricsRegistry::ToJsonObject() const {
@@ -237,16 +114,11 @@ std::string MetricsRegistry::ToJsonObject() const {
     sep();
     AppendJsonEscaped(out, name);
     out += ":{\"type\":\"histogram\"";
-    AppendHistogramFields(out, *h);
+    AppendHistogramFields(out, h->Read());
     out += "}";
   }
   out += "}";
   return out;
-}
-
-std::size_t MetricsRegistry::metric_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 }  // namespace threelc::obs

@@ -10,21 +10,18 @@
 //  - Counters and gauges are lock-free so worker threads on the pool can
 //    record concurrently; histograms take a mutex (per-phase cadence, not
 //    per-value hot paths).
-//  - Registries merge by metric name (Merge), so per-thread registries can
-//    be folded into one before export.
-//  - Exporters: JSONL (one metric object per line) and CSV.
+//  - Histograms are durations: one DurationHistogram (log2 ns buckets) each.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "util/stats.h"
+#include "obs/duration_histogram.h"
 
 namespace threelc::obs {
 
@@ -112,41 +109,27 @@ class Gauge {
   std::atomic<bool> set_{false};
 };
 
-// Distribution: RunningStat moments plus fixed bins for quantiles.
+// Duration distribution: one DurationHistogram behind a mutex.
 class HistogramStat {
  public:
-  void Add(double v) {
+  void Add(std::uint64_t ns) {
     if (!enabled_->load(std::memory_order_relaxed)) return;
     std::lock_guard<std::mutex> lock(mu_);
-    stat_.Add(v);
-    bins_.Add(v);
+    hist_.Add(ns);
   }
-  util::RunningStat stat() const {
+  DurationHistogram Read() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return stat_;
+    return hist_;
   }
-  double Quantile(double q) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return bins_.Quantile(q);
-  }
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  std::size_t num_bins() const { return num_bins_; }
 
  private:
   friend class MetricsRegistry;
-  HistogramStat(const std::atomic<bool>* enabled, double lo, double hi,
-                std::size_t bins)
-      : enabled_(enabled), lo_(lo), hi_(hi), num_bins_(bins),
-        bins_(lo, hi, bins) {}
-  void MergeFrom(const HistogramStat& other);
+  explicit HistogramStat(const std::atomic<bool>* enabled)
+      : enabled_(enabled) {}
 
   const std::atomic<bool>* enabled_;
-  double lo_, hi_;
-  std::size_t num_bins_;
   mutable std::mutex mu_;
-  util::RunningStat stat_;
-  util::Histogram bins_;
+  DurationHistogram hist_;
 };
 
 // Point-in-time copy of every registered metric, safe to format outside
@@ -165,15 +148,7 @@ struct MetricSnapshot {
   };
   struct HistogramSample {
     std::string name;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double mean = 0.0;
-    double stddev = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double p50 = 0.0;
-    double p90 = 0.0;
-    double p99 = 0.0;
+    DurationHistogram hist;
   };
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
@@ -193,12 +168,10 @@ class MetricsRegistry {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   // Find-or-create by name. Pointers remain valid for the registry's
-  // lifetime; re-registering a histogram with different bounds keeps the
-  // original bounds.
+  // lifetime.
   Counter* counter(const std::string& name);
   Gauge* gauge(const std::string& name);
-  HistogramStat* histogram(const std::string& name, double lo, double hi,
-                           std::size_t bins);
+  HistogramStat* histogram(const std::string& name);
 
   // Record a pre-aggregated batch on counter `name` in one consistent
   // write: value += v, events += n. Used by exporters that fold an
@@ -206,23 +179,11 @@ class MetricsRegistry {
   // replaying every sample. Respects the enabled flag like Add().
   void AddCounterBatch(const std::string& name, double v, std::uint64_t n);
 
-  // Fold `other`'s metrics into this registry, matching by name and
-  // creating missing metrics. Counters add, gauges take other's value if
-  // it was ever set, histograms merge moments and bin counts.
-  void Merge(const MetricsRegistry& other);
-
   // Copy every metric out for export (Prometheus exposition, /statusz).
   MetricSnapshot Snapshot() const;
 
-  // One JSON object per line:
-  //   {"metric":"traffic/push_bytes","type":"counter","value":..,"events":..}
-  void WriteJsonl(std::ostream& out) const;
-  // metric,type,value,events,mean,stddev,min,max,p50,p99
-  void WriteCsv(std::ostream& out) const;
   // All metrics as one JSON object (embedded in the step log's summary).
   std::string ToJsonObject() const;
-
-  std::size_t metric_count() const;
 
  private:
   std::atomic<bool> enabled_{false};

@@ -18,8 +18,18 @@ bool IsNameChar(char c, bool first) {
   return !first && c >= '0' && c <= '9';
 }
 
-// Prometheus sample values allow NaN and signed infinity as literals.
-void AppendSampleValue(std::string& out, double v) {
+}  // namespace
+
+void AppendHeader(std::string& out, const std::string& name, const char* type,
+                  const std::string& help) {
+  out += "# HELP " + name + " " + help + "\n";
+  out += "# TYPE " + name + " ";
+  out += type;
+  out += "\n";
+}
+
+void AppendSample(std::string& out, const std::string& series, double v) {
+  out += series + " ";
   if (std::isnan(v)) {
     out += "NaN";
   } else if (std::isinf(v)) {
@@ -29,32 +39,27 @@ void AppendSampleValue(std::string& out, double v) {
     std::snprintf(buf, sizeof(buf), "%.9g", v);
     out += buf;
   }
-}
-
-void AppendHeader(std::string& out, const std::string& name,
-                  const char* type, const std::string& help) {
-  out += "# HELP " + name + " " + help + "\n";
-  out += "# TYPE " + name + " ";
-  out += type;
   out += "\n";
 }
 
-void AppendSample(std::string& out, const std::string& name, double v) {
-  out += name + " ";
-  AppendSampleValue(out, v);
-  out += "\n";
+void AppendSample(std::string& out, const std::string& series,
+                  std::uint64_t v) {
+  out += series + " " + std::to_string(v) + "\n";
 }
 
-void AppendQuantileSample(std::string& out, const std::string& name,
-                          const char* quantile, double v) {
-  out += name + "{quantile=\"";
-  out += quantile;
-  out += "\"} ";
-  AppendSampleValue(out, v);
-  out += "\n";
+void AppendSummary(std::string& out, const std::string& name,
+                   const std::string& labels, const DurationHistogram& h,
+                   std::initializer_list<double> quantiles) {
+  const std::string open = "{" + labels + (labels.empty() ? "" : ",");
+  for (const double q : quantiles) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "quantile=\"%g\"}", q);
+    AppendSample(out, name + open + buf, h.Quantile(q));
+  }
+  const std::string suffix = labels.empty() ? "" : "{" + labels + "}";
+  AppendSample(out, name + "_sum" + suffix, h.total_ns);
+  AppendSample(out, name + "_count" + suffix, h.count);
 }
-
-}  // namespace
 
 bool IsValidMetricName(const std::string& name) {
   if (name.empty()) return false;
@@ -113,11 +118,7 @@ void WritePrometheus(const MetricsRegistry& registry, std::ostream& out,
   for (const auto& h : snap.histograms) {
     const std::string base = prefix + SanitizeMetricName(h.name);
     AppendHeader(text, base, "summary", "Registry histogram " + h.name);
-    AppendQuantileSample(text, base, "0.5", h.p50);
-    AppendQuantileSample(text, base, "0.9", h.p90);
-    AppendQuantileSample(text, base, "0.99", h.p99);
-    AppendSample(text, base + "_sum", h.sum);
-    AppendSample(text, base + "_count", static_cast<double>(h.count));
+    AppendSummary(text, base, "", h.hist, {0.5, 0.9, 0.99});
   }
   out << text;
 }

@@ -30,7 +30,7 @@ void StageProfiler::ThreadState::Record(int id, std::uint64_t ns) {
   if (ns > a.max_ns.load(std::memory_order_relaxed)) {
     a.max_ns.store(ns, std::memory_order_relaxed);
   }
-  std::atomic<std::uint32_t>& bucket = a.hist[StageLog2Bucket(ns)];
+  std::atomic<std::uint32_t>& bucket = a.hist[DurationHistogram::Bucket(ns)];
   bucket.store(bucket.load(std::memory_order_relaxed) + 1,
                std::memory_order_relaxed);
 }
@@ -94,32 +94,28 @@ int StageProfiler::ResolveChild(ThreadState& ts, int parent,
   return id;
 }
 
+DurationHistogram StageProfiler::StageAccum::Load() const {
+  DurationHistogram h;
+  h.count = count.load(std::memory_order_relaxed);
+  if (h.count == 0) return h;
+  h.total_ns = total_ns.load(std::memory_order_relaxed);
+  h.min_ns = min_ns.load(std::memory_order_relaxed);
+  h.max_ns = max_ns.load(std::memory_order_relaxed);
+  for (int b = 0; b < DurationHistogram::kBuckets; ++b) {
+    h.buckets[b] = hist[b].load(std::memory_order_relaxed);
+  }
+  return h;
+}
+
 std::vector<StageSample> StageProfiler::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<StageSample> samples;
   samples.reserve(paths_.size());
-  std::uint64_t hist[kHistogramBuckets];
   for (std::size_t id = 0; id < paths_.size(); ++id) {
     StageSample s;
     s.path = paths_[id];
-    s.min_ns = ~std::uint64_t{0};
-    std::fill(hist, hist + kHistogramBuckets, 0);
-    for (const auto& thread : threads_) {
-      const StageAccum& a = thread->accums[id];
-      const std::uint64_t count = a.count.load(std::memory_order_relaxed);
-      if (count == 0) continue;
-      s.count += count;
-      s.total_ns += a.total_ns.load(std::memory_order_relaxed);
-      s.min_ns = std::min(s.min_ns, a.min_ns.load(std::memory_order_relaxed));
-      s.max_ns = std::max(s.max_ns, a.max_ns.load(std::memory_order_relaxed));
-      for (int b = 0; b < kHistogramBuckets; ++b) {
-        hist[b] += a.hist[b].load(std::memory_order_relaxed);
-      }
-    }
-    if (s.count == 0) continue;
-    s.p50_ns = StageQuantileNs(hist, kHistogramBuckets, s.count, 0.50);
-    s.p90_ns = StageQuantileNs(hist, kHistogramBuckets, s.count, 0.90);
-    s.p99_ns = StageQuantileNs(hist, kHistogramBuckets, s.count, 0.99);
+    for (const auto& thread : threads_) s.hist.Merge(thread->accums[id].Load());
+    if (s.hist.count == 0) continue;
     samples.push_back(std::move(s));
   }
   std::sort(samples.begin(), samples.end(),
@@ -132,7 +128,8 @@ std::vector<StageSample> StageProfiler::Snapshot() const {
 void StageProfiler::ExportTo(MetricsRegistry& registry) const {
   for (const StageSample& s : Snapshot()) {
     registry.AddCounterBatch("profile/" + s.path,
-                             static_cast<double>(s.total_ns) * 1e-9, s.count);
+                             static_cast<double>(s.hist.total_ns) * 1e-9,
+                             s.hist.count);
   }
 }
 
@@ -141,29 +138,16 @@ void StageProfiler::WritePrometheus(std::ostream& out,
   std::string text;
   for (const StageSample& s : Snapshot()) {
     const std::string base = prefix + "stage_" + SanitizeMetricName(s.path);
-    text += "# HELP " + base + "_seconds_total Total time in stage " +
-            s.path + "\n";
-    text += "# TYPE " + base + "_seconds_total counter\n";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g",
-                  static_cast<double>(s.total_ns) * 1e-9);
-    text += base + "_seconds_total " + buf + "\n";
-    text += "# HELP " + base + "_count_total Entries into stage " + s.path +
-            "\n";
-    text += "# TYPE " + base + "_count_total counter\n";
-    text += base + "_count_total " + std::to_string(s.count) + "\n";
-    text += "# HELP " + base + "_ns Stage duration distribution (ns)\n";
-    text += "# TYPE " + base + "_ns summary\n";
-    const struct {
-      const char* q;
-      double v;
-    } quantiles[] = {{"0.5", s.p50_ns}, {"0.9", s.p90_ns}, {"0.99", s.p99_ns}};
-    for (const auto& q : quantiles) {
-      std::snprintf(buf, sizeof(buf), "%.9g", q.v);
-      text += base + "_ns{quantile=\"" + q.q + "\"} " + buf + "\n";
-    }
-    text += base + "_ns_sum " + std::to_string(s.total_ns) + "\n";
-    text += base + "_ns_count " + std::to_string(s.count) + "\n";
+    AppendHeader(text, base + "_seconds_total", "counter",
+                 "Total time in stage " + s.path);
+    AppendSample(text, base + "_seconds_total",
+                 static_cast<double>(s.hist.total_ns) * 1e-9);
+    AppendHeader(text, base + "_count_total", "counter",
+                 "Entries into stage " + s.path);
+    AppendSample(text, base + "_count_total", s.hist.count);
+    AppendHeader(text, base + "_ns", "summary",
+                 "Stage duration distribution (ns)");
+    AppendSummary(text, base + "_ns", "", s.hist, {0.5, 0.9, 0.99});
   }
   out << text;
 }
@@ -177,7 +161,7 @@ void StageProfiler::Reset() {
       a.total_ns.store(0, std::memory_order_relaxed);
       a.min_ns.store(~std::uint64_t{0}, std::memory_order_relaxed);
       a.max_ns.store(0, std::memory_order_relaxed);
-      for (int b = 0; b < kHistogramBuckets; ++b) {
+      for (int b = 0; b < DurationHistogram::kBuckets; ++b) {
         a.hist[b].store(0, std::memory_order_relaxed);
       }
     }

@@ -21,9 +21,8 @@
 //    (the scraping thread pays the cost, not the step loop). Counts and
 //    totals may be torn by in-flight recordings — profiling tolerance, not
 //    ledger accuracy.
-//  - Each stage keeps exact count/total/min/max plus a log2(ns) histogram
-//    for quantiles: 64 buckets cover 1 ns to ~18 s with <=50% relative
-//    error, enough to tell a 2 us quartic pack from a 2 ms fan-out stall.
+//  - Each stage keeps exact count/total/min/max plus 64 log2(ns) buckets,
+//    and Snapshot() hands them out as a DurationHistogram.
 #pragma once
 
 #include <atomic>
@@ -35,61 +34,21 @@
 #include <string>
 #include <vector>
 
+#include "obs/duration_histogram.h"
 #include "obs/trace.h"
 
 namespace threelc::obs {
 
 class MetricsRegistry;
 
-// Shared log2(ns) bucket math. StageProfiler records into these buckets
-// and ClusterView merges worker-shipped durations into the same layout,
-// so cluster-level quantiles are computed with bit-identical math.
-//
-// Bucket b covers [2^b, 2^(b+1)) ns; 0 and 1 ns both land in bucket 0.
-inline int StageLog2Bucket(std::uint64_t ns) {
-  if (ns <= 1) return 0;
-  return 63 - __builtin_clzll(ns);
-}
-
-// Geometric midpoint of bucket b — the representative duration reported
-// for quantiles (exact to within the bucket's +-50% width).
-inline double StageBucketMidNs(int b) {
-  return static_cast<double>(std::uint64_t{1} << b) * 1.4142135623730951;
-}
-
-// Quantile over a 64-bucket log2 histogram via cumulative walk. `hist`
-// must have at least `buckets` entries; returns the midpoint of the
-// bucket where the cumulative count first reaches q * total.
-inline double StageQuantileNs(const std::uint64_t* hist, int buckets,
-                              std::uint64_t total, double q) {
-  if (total == 0) return 0.0;
-  const double target = q * static_cast<double>(total);
-  std::uint64_t cum = 0;
-  for (int b = 0; b < buckets; ++b) {
-    cum += hist[b];
-    if (static_cast<double>(cum) >= target && cum > 0) {
-      return StageBucketMidNs(b);
-    }
-  }
-  return StageBucketMidNs(buckets - 1);
-}
-
 // One stage, merged across threads, as of a Snapshot() call.
 struct StageSample {
   std::string path;  // "parent/child/leaf"
-  std::uint64_t count = 0;
-  std::uint64_t total_ns = 0;
-  std::uint64_t min_ns = 0;
-  std::uint64_t max_ns = 0;
-  double p50_ns = 0.0;  // from the log2 histogram (geometric bucket mid)
-  double p90_ns = 0.0;
-  double p99_ns = 0.0;
+  DurationHistogram hist;
 };
 
 class StageProfiler {
  public:
-  // Log2 duration buckets: bucket b holds durations in [2^b, 2^(b+1)) ns.
-  static constexpr int kHistogramBuckets = 64;
   // Distinct hierarchical stage paths per profiler. Fixed so per-thread
   // accumulator arrays never reallocate under a concurrent Snapshot().
   static constexpr int kMaxStages = 256;
@@ -137,7 +96,8 @@ class StageProfiler {
     std::atomic<std::uint64_t> total_ns{0};
     std::atomic<std::uint64_t> min_ns{~std::uint64_t{0}};
     std::atomic<std::uint64_t> max_ns{0};
-    std::atomic<std::uint32_t> hist[kHistogramBuckets] = {};
+    std::atomic<std::uint32_t> hist[DurationHistogram::kBuckets] = {};
+    DurationHistogram Load() const;
   };
 
   struct ThreadState {

@@ -1,5 +1,6 @@
 #include "obs/telemetry.h"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -230,13 +231,15 @@ void Telemetry::LogStep(const StepTelemetry& step) {
   if (health_) health_->ObserveStep(step);
   if (!metrics_.enabled()) return;
   // The /metricsz view of the step breakdown, derived here so every
-  // caller exports the same families.
+  // caller exports the same families. phases_ms came from ns slots
+  // (NsToMs), so rounding recovers each slot's nanoseconds.
+  std::uint64_t total_ns = 0;
   for (const StepTelemetry::Phase& phase : step.phases_ms) {
-    metrics_.histogram(std::string("step/") + phase.name + "_ms", 0.0, 1000.0,
-                       200)
-        ->Add(phase.ms);
+    const auto ns = static_cast<std::uint64_t>(std::llround(phase.ms * 1e6));
+    metrics_.histogram(std::string("step/") + phase.name + "_ns")->Add(ns);
+    total_ns += ns;
   }
-  metrics_.histogram("step/total_ms", 0.0, 1000.0, 200)->Add(step.WallMs());
+  metrics_.histogram("step/total_ns")->Add(total_ns);
   const std::string line = StepToJson(step);
   std::lock_guard<std::mutex> lock(mu_);
   if (!metrics_out_.is_open()) return;

@@ -144,7 +144,7 @@ class Telemetry {
   double UptimeSeconds() const;
 
   // Append one step record to the metrics JSONL, record its phases into
-  // the step/<phase>_ms and step/total_ms histograms, and feed the flight
+  // the step/<phase>_ns and step/total_ns histograms, and feed the flight
   // recorder + health watchdog. Thread-safe.
   void LogStep(const StepTelemetry& step);
 

@@ -231,8 +231,8 @@ TrainResult DistributedTrainer::Run() {
   obs::Counter* m_codec_cpu = nullptr;
   obs::Gauge* m_loss = nullptr;
   obs::Gauge* m_lr = nullptr;
-  obs::HistogramStat* m_push_bpv = nullptr;
-  obs::HistogramStat* m_pull_bpv = nullptr;
+  obs::Gauge* m_push_bpv = nullptr;
+  obs::Gauge* m_pull_bpv = nullptr;
   if (tel != nullptr) {
     auto& reg = tel->metrics();
     m_push_bytes = reg.counter("traffic/push_bytes");
@@ -240,8 +240,8 @@ TrainResult DistributedTrainer::Run() {
     m_codec_cpu = reg.counter("codec/cpu_seconds");
     m_loss = reg.gauge("train/loss");
     m_lr = reg.gauge("train/lr");
-    m_push_bpv = reg.histogram("traffic/push_bits_per_value", 0.0, 34.0, 68);
-    m_pull_bpv = reg.histogram("traffic/pull_bits_per_value", 0.0, 34.0, 68);
+    m_push_bpv = reg.gauge("traffic/push_bits_per_value");
+    m_pull_bpv = reg.gauge("traffic/pull_bits_per_value");
   }
 
   std::unique_ptr<util::ThreadPool> pool;
@@ -452,8 +452,8 @@ TrainResult DistributedTrainer::Run() {
         const auto rates = net::PerDirectionBitsPerValue(
             {rec.push_bytes, rec.pull_bytes, rec.push_values,
              rec.pull_values});
-        m_push_bpv->Add(rates.push);
-        m_pull_bpv->Add(rates.pull);
+        m_push_bpv->Set(rates.push);
+        m_pull_bpv->Set(rates.pull);
       }
     }
 

@@ -1,5 +1,5 @@
 // ClusterView tests: per-worker histogram merge exactness against the
-// shared StageProfiler bucket math, straggler attribution on a synthetic
+// shared DurationHistogram bucket math, straggler attribution on a synthetic
 // skewed fleet, duplicate-step dedup, eviction pruning, and the
 // pending-barrier bound.
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "obs/cluster_view.h"
-#include "obs/stage_profiler.h"
+#include "obs/duration_histogram.h"
 #include "util/rng.h"
 
 namespace threelc::obs {
@@ -42,25 +42,21 @@ WorkerStepRecord MakeRecord(std::uint64_t step) {
 
 // The server-side merged histogram must be bit-identical to one built
 // locally from the same samples with the shared bucket math: quantiles
-// computed via StageQuantileNs over a reference histogram must match the
-// p50/p95/p99 the view reports in its JSON.
+// of a reference DurationHistogram must match the p50/p95/p99 the view
+// reports in its JSON.
 TEST(ClusterView, HistogramMergeMatchesReferenceBucketMath) {
   ClusterView view;
   util::Rng rng(0xC1);
-  std::uint64_t ref_hist[ClusterView::kHistogramBuckets] = {};
-  std::uint64_t ref_total = 0;
+  DurationHistogram ref;
   for (std::uint64_t step = 0; step < 500; ++step) {
     WorkerStepRecord r = MakeRecord(step);
     // Spread forward_backward over ~5 decades so many buckets fill.
     r.forward_backward_ns = 1'000 + rng.Next() % 100'000'000;
-    ref_hist[StageLog2Bucket(r.forward_backward_ns)]++;
-    ref_total++;
+    ref.Add(r.forward_backward_ns);
     view.Ingest(0, r);
   }
-  const double want_p50 = StageQuantileNs(
-      ref_hist, ClusterView::kHistogramBuckets, ref_total, 0.50);
-  const double want_p99 = StageQuantileNs(
-      ref_hist, ClusterView::kHistogramBuckets, ref_total, 0.99);
+  const double want_p50 = ref.Quantile(0.50);
+  const double want_p99 = ref.Quantile(0.99);
   const std::string json = view.ToJson();
   // The worker's forward_backward phase carries exactly those quantiles.
   const std::string p50_needle = "\"p50_ns\":" + G9(want_p50);
@@ -74,19 +70,16 @@ TEST(ClusterView, HistogramMergeMatchesReferenceBucketMath) {
 TEST(ClusterView, FleetMergeIsExact) {
   ClusterView view;
   util::Rng rng(0xC2);
-  std::uint64_t ref_hist[ClusterView::kHistogramBuckets] = {};
-  std::uint64_t ref_total = 0;
+  DurationHistogram ref;
   for (int w = 0; w < 2; ++w) {
     for (std::uint64_t step = 0; step < 300; ++step) {
       WorkerStepRecord r = MakeRecord(step);
       r.encode_ns = 500 + rng.Next() % 10'000'000;
-      ref_hist[StageLog2Bucket(r.encode_ns)]++;
-      ref_total++;
+      ref.Add(r.encode_ns);
       view.Ingest(w, r);
     }
   }
-  const double want_p95 = StageQuantileNs(
-      ref_hist, ClusterView::kHistogramBuckets, ref_total, 0.95);
+  const double want_p95 = ref.Quantile(0.95);
   const std::string json = view.ToJson();
   // The fleet block is the last "encode" occurrence in the JSON.
   const std::size_t fleet = json.rfind("\"encode\"");

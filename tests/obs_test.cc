@@ -1,21 +1,26 @@
-// Observability layer: metrics registry semantics (enable/disable, merge,
-// seqlock consistency), JSONL/CSV export, Prometheus exposition, tracer
+// Observability layer: the duration histogram, metrics registry semantics
+// (enable/disable, seqlock consistency), Prometheus exposition, tracer
 // span recording under concurrency, Chrome trace well-formedness, and the
-// telemetry step-record schema (including non-finite values).
+// telemetry step-record schema (including non-finite values) and its
+// step/<phase>_ns histograms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "json_validator.h"
+#include "obs/duration_histogram.h"
 #include "obs/health.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -46,6 +51,49 @@ TEST(JsonTest, EscapesControlAndQuotes) {
   EXPECT_EQ(num, "null");  // JSON has no NaN
 }
 
+// --- Duration histogram ----------------------------------------------------
+
+// Bucket b holds [2^b, 2^(b+1)) ns and a quantile reports its bucket's
+// geometric midpoint: the math behind every duration quantile on
+// /metricsz and /clusterz. Merging equals adding both sample streams.
+TEST(DurationHistogramTest, Log2BucketsQuantilesAndMerge) {
+  EXPECT_EQ(DurationHistogram::Bucket(0), 0);
+  EXPECT_EQ(DurationHistogram::Bucket(1), 0);
+  EXPECT_EQ(DurationHistogram::Bucket(2), 1);
+  EXPECT_EQ(DurationHistogram::Bucket(1023), 9);
+  EXPECT_EQ(DurationHistogram::Bucket(1024), 10);
+  EXPECT_EQ(DurationHistogram::Bucket(~std::uint64_t{0}), 63);
+
+  DurationHistogram empty;
+  EXPECT_EQ(empty.Quantile(0.5), 0.0);
+  EXPECT_EQ(empty.mean_ns(), 0.0);
+
+  DurationHistogram a, b, both;
+  for (const std::uint64_t ns : {1000, 1500, 3000}) {
+    a.Add(ns);
+    both.Add(ns);
+  }
+  for (const std::uint64_t ns : {700, 5'000'000}) {
+    b.Add(ns);
+    both.Add(ns);
+  }
+  a.Merge(b);
+  a.Merge(empty);
+  EXPECT_EQ(a.count, 5u);
+  EXPECT_EQ(a.total_ns, 5'006'200u);
+  EXPECT_EQ(a.min_ns, 700u);
+  EXPECT_EQ(a.max_ns, 5'000'000u);
+  for (int i = 0; i < DurationHistogram::kBuckets; ++i) {
+    EXPECT_EQ(a.buckets[i], both.buckets[i]) << "bucket " << i;
+  }
+  empty.Merge(b);
+  EXPECT_EQ(empty.min_ns, 700u);
+  // 700 and 1000 fill bucket 9, 1500 bucket 10, 5 ms bucket 22.
+  EXPECT_DOUBLE_EQ(a.Quantile(0.4), 512.0 * std::sqrt(2.0));
+  EXPECT_DOUBLE_EQ(a.Quantile(0.5), 1024.0 * std::sqrt(2.0));
+  EXPECT_DOUBLE_EQ(a.Quantile(1.0), 4194304.0 * std::sqrt(2.0));
+}
+
 // --- Metrics registry ------------------------------------------------------
 
 TEST(MetricsTest, DisabledMetricsAreNoOps) {
@@ -53,14 +101,14 @@ TEST(MetricsTest, DisabledMetricsAreNoOps) {
   ASSERT_FALSE(registry.enabled());
   Counter* c = registry.counter("c");
   Gauge* g = registry.gauge("g");
-  HistogramStat* h = registry.histogram("h", 0.0, 10.0, 10);
+  HistogramStat* h = registry.histogram("h");
   c->Add(5.0);
   g->Set(3.0);
-  h->Add(1.0);
+  h->Add(1000);
   EXPECT_EQ(c->value(), 0.0);
   EXPECT_EQ(c->events(), 0u);
   EXPECT_FALSE(g->set());
-  EXPECT_EQ(h->stat().count(), 0u);
+  EXPECT_EQ(h->Read().count, 0u);
 }
 
 TEST(MetricsTest, HandlesAreStableAndSharedByName) {
@@ -90,76 +138,6 @@ TEST(MetricsTest, ConcurrentCounterAddsAreLossless) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(c->value(), static_cast<double>(kThreads * kPerThread));
   EXPECT_EQ(c->events(), static_cast<std::uint64_t>(kThreads * kPerThread));
-}
-
-TEST(MetricsTest, MergeAddsCountersTakesGaugesAndFoldsHistograms) {
-  MetricsRegistry a;
-  MetricsRegistry b;
-  a.set_enabled(true);
-  b.set_enabled(true);
-  a.counter("shared")->Add(1.0);
-  b.counter("shared")->Add(2.0);
-  b.counter("only_b")->Add(7.0);
-  a.gauge("g")->Set(1.0);
-  b.gauge("g")->Set(9.0);
-  b.gauge("never_set");
-  for (double v : {1.0, 2.0, 3.0}) a.histogram("h", 0.0, 10.0, 10)->Add(v);
-  for (double v : {7.0, 8.0}) b.histogram("h", 0.0, 10.0, 10)->Add(v);
-
-  a.Merge(b);
-  EXPECT_EQ(a.counter("shared")->value(), 3.0);
-  EXPECT_EQ(a.counter("only_b")->value(), 7.0);
-  EXPECT_EQ(a.gauge("g")->value(), 9.0);  // merge takes other's set value
-  const util::RunningStat merged = a.histogram("h", 0.0, 10.0, 10)->stat();
-  EXPECT_EQ(merged.count(), 5u);
-  EXPECT_DOUBLE_EQ(merged.mean(), (1.0 + 2.0 + 3.0 + 7.0 + 8.0) / 5.0);
-  EXPECT_EQ(merged.max(), 8.0);
-}
-
-TEST(MetricsTest, MergeLandsIntoDisabledRegistry) {
-  // Export-time merges fold per-thread registries into a possibly-disabled
-  // aggregate; the data must not be dropped.
-  MetricsRegistry worker;
-  worker.set_enabled(true);
-  worker.counter("n")->Add(4.0);
-  worker.gauge("g")->Set(2.0);
-  MetricsRegistry aggregate;  // disabled
-  aggregate.Merge(worker);
-  EXPECT_EQ(aggregate.counter("n")->value(), 4.0);
-  EXPECT_EQ(aggregate.gauge("g")->value(), 2.0);
-}
-
-TEST(MetricsTest, JsonlAndCsvExport) {
-  MetricsRegistry registry;
-  registry.set_enabled(true);
-  registry.counter("traffic/push_bytes")->Add(128.0);
-  registry.gauge("train/loss")->Set(0.25);
-  HistogramStat* h = registry.histogram("step_ms", 0.0, 100.0, 50);
-  for (int i = 1; i <= 10; ++i) h->Add(static_cast<double>(i));
-
-  std::ostringstream jsonl;
-  registry.WriteJsonl(jsonl);
-  std::istringstream lines(jsonl.str());
-  std::string line;
-  int n = 0;
-  while (std::getline(lines, line)) {
-    ++n;
-    EXPECT_TRUE(JsonValidator(line).Valid()) << line;
-  }
-  EXPECT_EQ(n, 3);
-  EXPECT_NE(jsonl.str().find("\"traffic/push_bytes\""), std::string::npos);
-
-  std::ostringstream csv;
-  registry.WriteCsv(csv);
-  std::istringstream csv_lines(csv.str());
-  std::getline(csv_lines, line);
-  EXPECT_EQ(line, "metric,type,value,events,mean,stddev,min,max,p50,p99");
-  int rows = 0;
-  while (std::getline(csv_lines, line)) ++rows;
-  EXPECT_EQ(rows, 3);
-
-  const std::string obj = registry.ToJsonObject();
-  EXPECT_TRUE(JsonValidator(obj).Valid()) << obj;
 }
 
 TEST(MetricsTest, SnapshotPairsAreConsistentUnderConcurrentAdds) {
@@ -230,8 +208,8 @@ TEST(PrometheusTest, WritePrometheusExposesAllMetricKinds) {
   registry.set_enabled(true);
   registry.counter("traffic/push_bytes")->Add(128.0);
   registry.gauge("train/loss")->Set(0.25);
-  HistogramStat* h = registry.histogram("step_ms", 0.0, 100.0, 50);
-  for (int i = 1; i <= 10; ++i) h->Add(static_cast<double>(i));
+  HistogramStat* h = registry.histogram("step_ns");
+  for (std::uint64_t i = 1; i <= 10; ++i) h->Add(1000 * i);
 
   std::ostringstream out;
   WritePrometheus(registry, out);
@@ -246,11 +224,11 @@ TEST(PrometheusTest, WritePrometheusExposesAllMetricKinds) {
             std::string::npos);
   EXPECT_NE(text.find("# TYPE threelc_train_loss gauge"), std::string::npos);
   EXPECT_NE(text.find("threelc_train_loss 0.25"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE threelc_step_ms summary"), std::string::npos);
-  EXPECT_NE(text.find("threelc_step_ms{quantile=\"0.5\"}"),
+  EXPECT_NE(text.find("# TYPE threelc_step_ns summary"), std::string::npos);
+  EXPECT_NE(text.find("threelc_step_ns{quantile=\"0.5\"}"),
             std::string::npos);
-  EXPECT_NE(text.find("threelc_step_ms_sum 55"), std::string::npos);
-  EXPECT_NE(text.find("threelc_step_ms_count 10"), std::string::npos);
+  EXPECT_NE(text.find("threelc_step_ns_sum 55000\n"), std::string::npos);
+  EXPECT_NE(text.find("threelc_step_ns_count 10\n"), std::string::npos);
 
   // Every exposed series name obeys the grammar (round-trip property over
   // the real registry contents, not just hand-picked strings).
@@ -412,6 +390,42 @@ TEST(TelemetryTest, StepLogRoundTrip) {
   EXPECT_NE(lines[0].find("\"type\":\"step\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"type\":\"summary\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"traffic/push_bytes\""), std::string::npos);
+}
+
+// A loopback step's phases are fractions of a millisecond; the exposed
+// step/<phase>_ns and step/total_ns medians must keep that scale.
+TEST(TelemetryTest, SubMillisecondPhaseQuantilesKeepTheirScale) {
+  const std::string path = ::testing::TempDir() + "obs_test_subms.jsonl";
+  TelemetryOptions options;
+  options.metrics_path = path;
+  Telemetry telemetry(options);
+  std::map<std::string, std::vector<double>> phase_ms;
+  for (int i = 0; i < 27; ++i) {
+    StepTelemetry s = MakeStep();
+    s.step = i;
+    s.phases_ms = {{"decode", 0.05 + 0.025 * i}, {"encode", 0.7 - 0.02 * i}};
+    for (const StepTelemetry::Phase& p : s.phases_ms) {
+      phase_ms[p.name].push_back(p.ms);
+    }
+    phase_ms["total"].push_back(s.WallMs());
+    telemetry.LogStep(s);
+  }
+  std::ostringstream out;
+  WritePrometheus(telemetry.metrics(), out);
+  const std::string text = out.str();
+  for (auto& [name, values] : phase_ms) {
+    std::sort(values.begin(), values.end());
+    const double median_ns = values[values.size() / 2] * 1e6;
+    const std::string needle =
+        "threelc_step_" + name + "_ns{quantile=\"0.5\"} ";
+    const std::size_t pos = text.find(needle);
+    ASSERT_NE(pos, std::string::npos) << needle << "\n" << text;
+    const double p50_ns = std::atof(text.c_str() + pos + needle.size());
+    EXPECT_GE(p50_ns, median_ns / 2.0) << name;
+    EXPECT_LE(p50_ns, median_ns * 2.0) << name;
+  }
+  telemetry.Flush();
+  std::remove(path.c_str());
 }
 
 TEST(TelemetryTest, StepToJsonWithNonFiniteValuesStaysParseable) {

@@ -167,7 +167,9 @@ double ClusterPhaseTotalNs(const std::string& json, int worker,
 // trace's rounding). (a) Each step's phases_ms entry is the sum of that
 // step's same-name server spans; (b) each worker's /clusterz total_ns per
 // phase is the sum of that worker's same-name spans; (c) each server
-// stage's profiler total is the sum of its JSONL values.
+// stage's profiler total is the sum of its JSONL values; (d) each
+// registry step/<phase>_ns histogram holds one sample per step and the
+// same total.
 TEST(RpcRuntime, PhaseTimingsAgreeAcrossJsonlTraceClusterzAndProfiler) {
   constexpr int kWorkers = 2;
   TestSetup setup = MakeTestSetup(kWorkers, /*steps=*/6,
@@ -228,9 +230,15 @@ TEST(RpcRuntime, PhaseTimingsAgreeAcrossJsonlTraceClusterzAndProfiler) {
   }
   for (const auto& [name, ms] : jsonl_total_ms) {
     const obs::StageSample& stage = stages["server_step/" + name];
-    EXPECT_NEAR(static_cast<double>(stage.total_ns), ms * 1e6,
-                1e3 * static_cast<double>(stage.count))
+    EXPECT_NEAR(static_cast<double>(stage.hist.total_ns), ms * 1e6,
+                1e3 * static_cast<double>(stage.hist.count))
         << "profiler stage server_step/" << name;
+    const obs::DurationHistogram registry =
+        telemetry.metrics().histogram("step/" + name + "_ns")->Read();
+    EXPECT_EQ(registry.count, steps.size()) << "step/" << name << "_ns";
+    EXPECT_NEAR(static_cast<double>(registry.total_ns), ms * 1e6,
+                1e3 * static_cast<double>(steps.size()))
+        << "step/" << name << "_ns";
   }
   std::remove(options.metrics_path.c_str());
   std::remove(options.trace_path.c_str());

@@ -72,8 +72,8 @@ TEST(StageProfilerTest, SameLeafUnderDifferentParentsIsDistinct) {
   const StageSample* b = Find(samples, "pull/3lc");
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->count, 1u);
-  EXPECT_EQ(b->count, 1u);
+  EXPECT_EQ(a->hist.count, 1u);
+  EXPECT_EQ(b->hist.count, 1u);
 }
 
 TEST(StageProfilerTest, CountsAreExactAndBoundsOrdered) {
@@ -86,10 +86,10 @@ TEST(StageProfilerTest, CountsAreExactAndBoundsOrdered) {
   auto samples = profiler.Snapshot();
   const StageSample* s = Find(samples, "work");
   ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->count, static_cast<std::uint64_t>(kIters));
-  EXPECT_LE(s->min_ns, s->max_ns);
-  EXPECT_GE(s->total_ns, s->min_ns * kIters);
-  EXPECT_LE(s->total_ns, s->max_ns * kIters);
+  EXPECT_EQ(s->hist.count, static_cast<std::uint64_t>(kIters));
+  EXPECT_LE(s->hist.min_ns, s->hist.max_ns);
+  EXPECT_GE(s->hist.total_ns, s->hist.min_ns * kIters);
+  EXPECT_LE(s->hist.total_ns, s->hist.max_ns * kIters);
 }
 
 TEST(StageProfilerTest, MergesAcrossThreads) {
@@ -113,16 +113,16 @@ TEST(StageProfilerTest, MergesAcrossThreads) {
   ASSERT_NE(outer, nullptr);
   ASSERT_NE(inner, nullptr);
   // Exact: every thread's accumulator is merged, no sampling.
-  EXPECT_EQ(outer->count, static_cast<std::uint64_t>(kThreads * kIters));
-  EXPECT_EQ(inner->count, static_cast<std::uint64_t>(kThreads * kIters));
+  EXPECT_EQ(outer->hist.count, static_cast<std::uint64_t>(kThreads * kIters));
+  EXPECT_EQ(inner->hist.count, static_cast<std::uint64_t>(kThreads * kIters));
   // One shared path table: the same (parent, name) resolves to one stage
   // id across threads.
   EXPECT_EQ(profiler.stage_count(), 2u);
   // Histogram counts survive the merge: quantiles come from the merged
   // buckets, so they must be populated and ordered.
-  EXPECT_GT(inner->p50_ns, 0.0);
-  EXPECT_LE(inner->p50_ns, inner->p90_ns);
-  EXPECT_LE(inner->p90_ns, inner->p99_ns);
+  EXPECT_GT(inner->hist.Quantile(0.5), 0.0);
+  EXPECT_LE(inner->hist.Quantile(0.5), inner->hist.Quantile(0.9));
+  EXPECT_LE(inner->hist.Quantile(0.9), inner->hist.Quantile(0.99));
 }
 
 TEST(StageProfilerTest, SingleSampleQuantilesCollapse) {
@@ -132,15 +132,15 @@ TEST(StageProfilerTest, SingleSampleQuantilesCollapse) {
   auto samples = profiler.Snapshot();
   const StageSample* s = Find(samples, "once");
   ASSERT_NE(s, nullptr);
-  ASSERT_EQ(s->count, 1u);
+  ASSERT_EQ(s->hist.count, 1u);
   // All quantiles land in the single occupied log2 bucket.
-  EXPECT_DOUBLE_EQ(s->p50_ns, s->p90_ns);
-  EXPECT_DOUBLE_EQ(s->p90_ns, s->p99_ns);
+  EXPECT_DOUBLE_EQ(s->hist.Quantile(0.5), s->hist.Quantile(0.9));
+  EXPECT_DOUBLE_EQ(s->hist.Quantile(0.9), s->hist.Quantile(0.99));
   // And the bucket brackets the exact recorded duration within the log2
   // histogram's <=50% relative error envelope (bucket [2^b, 2^(b+1))
   // reported as its geometric mid).
-  EXPECT_GE(s->p50_ns * 2.0, static_cast<double>(s->min_ns));
-  EXPECT_LE(s->p50_ns / 2.0, static_cast<double>(s->max_ns));
+  EXPECT_GE(s->hist.Quantile(0.5) * 2.0, static_cast<double>(s->hist.min_ns));
+  EXPECT_LE(s->hist.Quantile(0.5) / 2.0, static_cast<double>(s->hist.max_ns));
 }
 
 TEST(StageProfilerTest, ResetZeroesButKeepsStages) {
@@ -155,7 +155,7 @@ TEST(StageProfilerTest, ResetZeroesButKeepsStages) {
   { ScopedStage stage(&profiler, "work"); }
   auto samples = profiler.Snapshot();
   ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].count, 1u);
+  EXPECT_EQ(samples[0].hist.count, 1u);
 }
 
 TEST(StageProfilerTest, ExportToRegistryAsBatchCounters) {
@@ -176,7 +176,7 @@ TEST(StageProfilerTest, ExportToRegistryAsBatchCounters) {
   const StageSample* s = Find(samples, "work");
   ASSERT_NE(s, nullptr);
   EXPECT_NEAR(snap.counters[0].value,
-              static_cast<double>(s->total_ns) * 1e-9, 1e-12);
+              static_cast<double>(s->hist.total_ns) * 1e-9, 1e-12);
 }
 
 TEST(StageProfilerTest, WritePrometheusEmitsStageFamilies) {
@@ -231,7 +231,7 @@ TEST(StageProfilerTest, AllSinksRecordTheSameDuration) {
   const auto samples = profiler.Snapshot();
   const StageSample* s = Find(samples, "step/decode");
   ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->total_ns, slot_ns);
+  EXPECT_EQ(s->hist.total_ns, slot_ns);
   const std::vector<TraceEvent> events = tracer.snapshot();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].name, "decode");
