@@ -6,7 +6,7 @@
 //
 // Exact count/total/min/max plus 64 log2(ns) buckets: bucket b holds
 // durations in [2^b, 2^(b+1)) ns (0 and 1 ns both land in bucket 0), which
-// covers 1 ns to ~18 s with <=50% relative error — enough to tell a 2 us
+// covers 1 ns to 2^64 ns with <=50% relative error — enough to tell a 2 us
 // quartic pack from a 2 ms fan-out stall, at any step size.
 //
 // A plain value: callers that share one across threads lock around it

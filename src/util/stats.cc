@@ -1,7 +1,5 @@
 #include "util/stats.h"
 
-#include <cassert>
-
 namespace threelc::util {
 
 void RunningStat::Add(double x) {
@@ -31,44 +29,5 @@ void RunningStat::Merge(const RunningStat& o) {
 }
 
 void RunningStat::Reset() { *this = RunningStat(); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::Add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-void Histogram::Merge(const Histogram& other) {
-  assert(other.lo_ == lo_ && other.hi_ == hi_ &&
-         other.counts_.size() == counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  total_ += other.total_;
-}
-
-double Histogram::Quantile(double q) const {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::size_t>(
-      q * static_cast<double>(total_ - 1));
-  std::size_t seen = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    if (seen > target) {
-      const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-      return lo_ + (static_cast<double>(i) + 0.5) * width;
-    }
-  }
-  return hi_;
-}
 
 }  // namespace threelc::util
