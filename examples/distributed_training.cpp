@@ -63,10 +63,13 @@
 //
 // Server crash recovery:
 //   --server-checkpoint PATH
-//                        enable the write-ahead server checkpoint (model +
+//                        enable the write-ahead server checkpoint, written
+//                        atomically every --server-checkpoint-every steps
+//                        (default 1): a step record (the pushes since the
+//                        last one), or a full snapshot (model +
 //                        aggregation/EA state + replay ring + membership +
-//                        epoch), written atomically every
-//                        --server-checkpoint-every steps (default 1)
+//                        epoch) at start, at shutdown, after a failed
+//                        write, and once the records outweigh the last one
 //   --kill-server-step K server simulates a crash after completing step K
 //                        (checkpoint already on disk); in --spawn mode the
 //                        supervisor resumes a fresh incarnation from the
@@ -80,7 +83,8 @@
 // Storage-fault drills (checkpoint generations live at
 // "<server-checkpoint>.g<N>"; resume falls back past bad ones):
 //   --server-checkpoint-retain N
-//                        checkpoint generations kept on disk (default 2)
+//                        snapshots kept on disk, each with the step
+//                        records after it (default 2)
 //   --fs-fault SPEC      server-side filesystem fault spec, e.g.
 //                        "enospc:write@any#*" (disk full from the first
 //                        write on), "eio:fsync@2", "torn:rename@1" (the

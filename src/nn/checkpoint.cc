@@ -23,6 +23,11 @@ constexpr std::uint32_t kVersionTrainState = 3;  // + training-state section
 constexpr char kServerMagic[4] = {'3', 'L', 'C', 'S'};
 constexpr std::uint32_t kServerVersion = 1;
 
+// Step records (write-ahead, between server snapshots): own magic ("3LCR"
+// is the wire frame's), own version counter, CRC-protected body.
+constexpr char kRecordMagic[4] = {'3', 'L', 'C', 'W'};
+constexpr std::uint32_t kRecordVersion = 1;
+
 // Compressed container ("3LCZ"): an outer wrapper holding a complete
 // model or server checkpoint blob run through a blockcodec. Layout:
 //   magic "3LCZ" | u32 container_version | u8 codec_id | u64 raw_size
@@ -262,7 +267,9 @@ void ReadTensorSection(util::ByteReader& in, Model& model) {
     }
     std::vector<std::int64_t> dims(ReadCount(in, sizeof(std::int64_t), "rank"));
     for (auto& d : dims) d = in.ReadScalar<std::int64_t>();
-    if (tensor::Shape(dims) != tensor->shape()) {
+    // Compared as numbers: a corrupt (say, negative) dimension must fail
+    // here, not in a tensor::Shape built from it.
+    if (dims != tensor->shape().dims()) {
       throw std::runtime_error("shape mismatch for " + name);
     }
     in.ReadInto(tensor->data(), tensor->byte_size());
@@ -332,16 +339,21 @@ void WriteServerStateSection(util::ByteBuffer& blob, const ServerState& state) {
   }
 }
 
+// evicted and greeted share one u32 worker count.
+void ReadTables(util::ByteReader& in, std::vector<std::uint8_t>* evicted,
+                std::vector<std::uint8_t>* greeted) {
+  const std::uint32_t workers = ReadCount(in, 2, "worker count");
+  const util::ByteSpan e = in.ReadSpan(workers);
+  const util::ByteSpan g = in.ReadSpan(workers);
+  evicted->assign(e.begin(), e.end());
+  greeted->assign(g.begin(), g.end());
+}
+
 void ReadServerStateSection(util::ByteReader& in, ServerState* state) {
   state->epoch = in.ReadU64();
   state->next_step = in.ReadU64();
   state->ps_state = ReadBytes(in, "ps_state");
-  // evicted and greeted share one u32 worker count.
-  const std::uint32_t workers = ReadCount(in, 2, "worker count");
-  const util::ByteSpan evicted = in.ReadSpan(workers);
-  const util::ByteSpan greeted = in.ReadSpan(workers);
-  state->evicted.assign(evicted.begin(), evicted.end());
-  state->greeted.assign(greeted.begin(), greeted.end());
+  ReadTables(in, &state->evicted, &state->greeted);
   // Smallest replay entry: u64 step + u32 frame count; frame: u32 size.
   state->replay.resize(ReadCount(in, 12, "replay count"));
   for (auto& entry : state->replay) {
@@ -409,6 +421,86 @@ void LoadServerCheckpoint(Model& model, ServerState* state,
               ReadTensorSection(in, model);
               ReadServerStateSection(in, state);
             });
+}
+
+void EncodeStepRecord(const StepRecord& record, util::ByteBuffer* blob) {
+  if (record.evicted.size() != record.greeted.size()) {
+    throw std::runtime_error(
+        "step record: evicted/greeted table size mismatch");
+  }
+  BeginBlob(*blob, kRecordMagic, kRecordVersion);
+  blob->AppendU64(record.epoch);
+  AppendBytes(*blob, record.evicted);
+  blob->Append(record.greeted.data(), record.greeted.size());
+  blob->AppendU32(static_cast<std::uint32_t>(record.steps.size()));
+  for (const StepRecord::Step& step : record.steps) {
+    blob->AppendU64(step.step);
+    blob->AppendF32(step.lr);
+    blob->AppendU32(static_cast<std::uint32_t>(step.contributors.size()));
+    for (const std::size_t w : step.contributors) {
+      blob->AppendU32(static_cast<std::uint32_t>(w));
+      blob->AppendU32(static_cast<std::uint32_t>(step.pushes[w].size()));
+      for (const util::ByteBuffer& push : step.pushes[w]) {
+        AppendBytes(*blob, push.span());
+      }
+    }
+  }
+  EndBlob(*blob);
+}
+
+void WriteStepRecord(const util::ByteBuffer& blob, const std::string& path,
+                     util::Fs* fs) {
+  WriteBlob(path, blob, "store", "step record", fs);
+}
+
+void LoadStepRecord(StepRecord* record, const std::string& path) {
+  ParseFile(path, "step record", kRecordMagic,
+            [&](util::ByteReader& in, std::uint32_t version) {
+              if (version != kRecordVersion) {
+                throw std::runtime_error("unsupported version " +
+                                         std::to_string(version));
+              }
+              record->epoch = in.ReadU64();
+              ReadTables(in, &record->evicted, &record->greeted);
+              const std::size_t workers = record->evicted.size();
+              // Smallest step: u64 step + f32 lr + u32 contributor count;
+              // contributor: u32 id + u32 tensor count; tensor: u32 size.
+              record->steps.resize(ReadCount(in, 16, "step count"));
+              for (StepRecord::Step& step : record->steps) {
+                step.step = in.ReadU64();
+                step.lr = in.ReadF32();
+                step.contributors.resize(
+                    ReadCount(in, 8, "contributor count"));
+                if (step.contributors.empty()) {
+                  throw std::runtime_error("step " +
+                                           std::to_string(step.step) +
+                                           " has no contributors");
+                }
+                step.pushes.assign(workers, {});
+                for (std::size_t i = 0; i < step.contributors.size(); ++i) {
+                  const std::uint32_t w = in.ReadU32();
+                  if (w >= workers ||
+                      (i > 0 && w <= step.contributors[i - 1])) {
+                    throw std::runtime_error(
+                        "step " + std::to_string(step.step) +
+                        " contributor " + std::to_string(w) +
+                        " is out of range or order");
+                  }
+                  step.contributors[i] = w;
+                  step.pushes[w].resize(ReadCount(in, 4, "tensor count"));
+                  for (util::ByteBuffer& push : step.pushes[w]) {
+                    push.Append(in.ReadSpan(ReadCount(in, 1, "push size")));
+                  }
+                }
+              }
+            });
+}
+
+bool IsStepRecordFile(const std::string& path) {
+  char magic[sizeof(kRecordMagic)] = {};
+  std::ifstream in(path, std::ios::binary);
+  return in.read(magic, sizeof(magic)) &&
+         std::memcmp(magic, kRecordMagic, sizeof(magic)) == 0;
 }
 
 }  // namespace threelc::nn

@@ -32,6 +32,17 @@
 // the membership/greeted tables, and the verbatim pull-replay ring. See
 // ServerState below.
 //
+// Step records use a third magic "3LCW" (same framing: version,
+// CRC-protected body). Between two server snapshots, each write-ahead
+// durable point persists one record instead of a whole "3LCS" image: the
+// inputs of the steps since the previous durable point, which
+// ps::ParameterServer::Step turns back into the same state on resume.
+//   u64 epoch | u32 workers | evicted[workers] | greeted[workers]
+//   | u32 step_count | per step: u64 step | f32 lr (exact bits)
+//     | u32 contributor_count | per contributor: u32 worker_id
+//       | u32 tensor_count | per tensor: u32 size | stage-1 push bytes
+// See StepRecord below.
+//
 // Compressed container (optional): when a save is handed a block codec
 // other than "store" (blockcodec/block_codec.h), the complete "3LCK" /
 // "3LCS" byte stream above becomes the payload of an outer container:
@@ -161,5 +172,49 @@ void SaveServerCheckpoint(Model& model, const ServerState& state,
 // mismatch, or architecture mismatch.
 void LoadServerCheckpoint(Model& model, ServerState* state,
                           const std::string& path);
+
+// The inputs of the server steps taken since the previous durable point,
+// plus the membership tables and epoch they ran under: a "3LCW" step
+// record. Redoing each step through ps::ParameterServer::Step on top of
+// the state the record continues (a snapshot, or the records before it)
+// reproduces the model, ps state and pull frames bit for bit.
+struct StepRecord {
+  std::uint64_t epoch = 1;
+  // Same meaning and length rule as ServerState's tables.
+  std::vector<std::uint8_t> evicted;
+  std::vector<std::uint8_t> greeted;
+  struct Step {
+    std::uint64_t step = 0;
+    float lr = 0.0f;
+    // Ascending worker ids, never empty.
+    std::vector<std::size_t> contributors;
+    // pushes[w][t]: worker w's stage-1 push payload for tensor t (block
+    // envelope already stripped), indexed as ParameterServer::Step reads
+    // it. Only the contributors' rows are stored; a load sizes the outer
+    // vector to the table length and leaves the other rows empty.
+    std::vector<std::vector<util::ByteBuffer>> pushes;
+  };
+  // Consecutive steps, oldest first.
+  std::vector<Step> steps;
+};
+
+// Serializes `record` as a complete "3LCW" file into `*blob` (old contents
+// discarded, capacity kept). Throws std::runtime_error when the tables
+// differ in length.
+void EncodeStepRecord(const StepRecord& record, util::ByteBuffer* blob);
+
+// Atomically writes a blob EncodeStepRecord produced, always bare: the
+// pushes are already entropy-coded, and a bare record's magic tells a
+// directory scan its kind (IsStepRecordFile) without decoding anything.
+void WriteStepRecord(const util::ByteBuffer& blob, const std::string& path,
+                     util::Fs* fs = nullptr);
+
+// Restores a step record. Throws std::runtime_error naming `path` on I/O
+// failure, bad magic/version, truncation, CRC mismatch, a worker id out of
+// the tables' range or out of order, or a step with no contributors.
+void LoadStepRecord(StepRecord* record, const std::string& path);
+
+// True when the file at `path` starts with the step-record magic.
+bool IsStepRecordFile(const std::string& path);
 
 }  // namespace threelc::nn

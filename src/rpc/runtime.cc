@@ -908,43 +908,15 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
 
   // Envelope and frame each pull payload once; every worker is queued the
   // same frame bytes (the paper's shared pull compression, §3). This is
-  // the step's second "encode" interval. The encoded frames are also
-  // retained in the replay ring so a rejoiner can be caught up.
-  std::size_t pull_stage1_bytes = 0;
-  std::size_t pull_payload_bytes = 0;
-  std::size_t incompressible_frames = 0;
-  const auto max_replay =
-      static_cast<std::size_t>(std::max(config_.replay_steps, 0));
+  // the step's second "encode" interval. The frames are retained in the
+  // replay ring BEFORE any byte leaves (one extra entry even with
+  // replay_steps == 0, dropped after fan-out): the write-ahead checkpoint
+  // below must cover exactly what the fan-out is about to send, so a
+  // server restored from it replays byte-identical pulls.
+  PullFrames pulls;
   {
     obs::ScopedStage stage(prof, "encode", &phases.encode_ns, span);
-    std::vector<util::ByteBuffer> step_frames(num_tensors);
-    for (std::size_t t = 0; t < num_tensors; ++t) {
-      util::ByteSpan payload = ps_->PullPayload(t);
-      pull_stage1_bytes += payload.size();
-      util::ByteBuffer enveloped;
-      if (block_codec_->id() != blockcodec::kStoreId) {
-        // Second-stage compression of the shared pull bytes — paid once
-        // per step no matter how many workers receive the frame (and no
-        // extra cost on rejoin replay, which resends these bytes verbatim).
-        obs::ScopedStage block_stage(prof, "block_encode");
-        const std::uint8_t used =
-            blockcodec::EncodeBlock(*block_codec_, payload, enveloped);
-        if (used == blockcodec::kStoreId) ++incompressible_frames;
-        payload = enveloped.span();
-      }
-      pull_payload_bytes += payload.size();
-      EncodeFrame(MsgType::kPull, static_cast<std::uint64_t>(step),
-                  static_cast<std::uint32_t>(t), payload, step_frames[t]);
-    }
-    // Retain the encoded frames BEFORE any byte leaves (one extra entry
-    // even with replay_steps == 0, dropped after fan-out): the write-ahead
-    // checkpoint below must carry exactly what the fan-out is about to
-    // send, so a server restored from it replays byte-identical pulls.
-    auto& ring = ckpt_state_.replay;
-    ring.push_back({static_cast<std::uint64_t>(step), std::move(step_frames)});
-    while (ring.size() > std::max<std::size_t>(max_replay, 1)) {
-      ring.pop_front();
-    }
+    pulls = FramePulls(step);
   }
   // Write-ahead server checkpoint: this step's state is final (aggregate
   // applied, pulls encoded, ring updated) and nothing has been sent, so a
@@ -952,6 +924,14 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
   std::uint64_t checkpoint_ns = 0;
   {
     obs::ScopedStage stage(prof, "checkpoint", &checkpoint_ns, span);
+    if (!config_.checkpoint_path.empty()) {
+      nn::StepRecord::Step& entry = step_record_.steps.emplace_back();
+      entry.step = static_cast<std::uint64_t>(step);
+      entry.lr = lr;
+      entry.contributors = contributors;
+      entry.pushes.resize(push_payloads_.size());
+      for (std::size_t w : contributors) entry.pushes[w] = push_payloads_[w];
+    }
     if (!WriteCheckpoint(step + 1, /*force=*/false)) return false;
   }
 
@@ -979,7 +959,7 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
         }
       }
     }
-    if (max_replay == 0) ckpt_state_.replay.clear();
+    if (config_.replay_steps <= 0) ckpt_state_.replay.clear();
   }
 
   // Accept the next step's pushes before blocking on anything else — a
@@ -996,19 +976,19 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
     tel->metrics().counter("rpc/push_payload_bytes")
         ->Add(static_cast<double>(push_wire_bytes));
     tel->metrics().counter("rpc/pull_payload_bytes")
-        ->Add(static_cast<double>(pull_payload_bytes * num_contributors));
+        ->Add(static_cast<double>(pulls.payload_bytes * num_contributors));
     tel->metrics().counter("rpc/push_stage1_bytes")
         ->Add(static_cast<double>(push_bytes));
     tel->metrics().counter("rpc/pull_stage1_bytes")
-        ->Add(static_cast<double>(pull_stage1_bytes * num_contributors));
+        ->Add(static_cast<double>(pulls.stage1_bytes * num_contributors));
     if (block_codec_->id() != blockcodec::kStoreId) {
       tel->metrics().counter("block/encode_bytes_in")
-          ->Add(static_cast<double>(pull_stage1_bytes));
+          ->Add(static_cast<double>(pulls.stage1_bytes));
       tel->metrics().counter("block/encode_bytes_out")
-          ->Add(static_cast<double>(pull_payload_bytes));
-      if (incompressible_frames > 0) {
+          ->Add(static_cast<double>(pulls.payload_bytes));
+      if (pulls.incompressible > 0) {
         tel->metrics().counter("block/incompressible_frames")
-            ->Add(static_cast<double>(incompressible_frames));
+            ->Add(static_cast<double>(pulls.incompressible));
       }
     }
     obs::StepTelemetry st;
@@ -1016,7 +996,7 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
     st.loss = mean_loss;
     st.lr = lr;
     st.push_bytes = push_wire_bytes;
-    st.pull_bytes = pull_payload_bytes * num_contributors;
+    st.pull_bytes = pulls.payload_bytes * num_contributors;
     st.push_values = static_cast<std::size_t>(ps_->plan().TotalElements()) *
                      num_contributors;
     st.pull_values = st.push_values;
@@ -1042,6 +1022,37 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
     tel->LogStep(st);
   }
   return true;
+}
+
+RpcServer::PullFrames RpcServer::FramePulls(std::int64_t step) {
+  obs::StageProfiler* prof = &obs::StageProfiler::Global();
+  const std::size_t num_tensors = ps_->plan().size();
+  PullFrames out;
+  std::vector<util::ByteBuffer> frames(num_tensors);
+  for (std::size_t t = 0; t < num_tensors; ++t) {
+    util::ByteSpan payload = ps_->PullPayload(t);
+    out.stage1_bytes += payload.size();
+    util::ByteBuffer enveloped;
+    if (block_codec_->id() != blockcodec::kStoreId) {
+      // Second-stage compression of the shared pull bytes — paid once per
+      // step no matter how many workers receive the frame (and no extra
+      // cost on rejoin replay, which resends these bytes verbatim).
+      obs::ScopedStage block_stage(prof, "block_encode");
+      const std::uint8_t used =
+          blockcodec::EncodeBlock(*block_codec_, payload, enveloped);
+      if (used == blockcodec::kStoreId) ++out.incompressible;
+      payload = enveloped.span();
+    }
+    out.payload_bytes += payload.size();
+    EncodeFrame(MsgType::kPull, static_cast<std::uint64_t>(step),
+                static_cast<std::uint32_t>(t), payload, frames[t]);
+  }
+  auto& ring = ckpt_state_.replay;
+  ring.push_back({static_cast<std::uint64_t>(step), std::move(frames)});
+  const auto keep =
+      static_cast<std::size_t>(std::max(config_.replay_steps, 1));
+  while (ring.size() > keep) ring.pop_front();
+  return out;
 }
 
 bool RpcServer::ApplyWorkerBuffers() {
@@ -1192,6 +1203,9 @@ bool RpcServer::WriteCheckpoint(std::int64_t next_step, bool force) {
     state.evicted[w] = member_state_[w] == Member::kEvicted ? 1 : 0;
     state.greeted[w] = greeted_[w] ? 1 : 0;
   }
+  step_record_.epoch = state.epoch;
+  step_record_.evicted = state.evicted;
+  step_record_.greeted = state.greeted;
   // Degraded-but-alive storage posture: a failed write is retried with a
   // linear backoff, and exhaustion degrades the run (recovery is at risk
   // — a crash now replays from the last intact generation) instead of
@@ -1209,7 +1223,11 @@ bool RpcServer::WriteCheckpoint(std::int64_t next_step, bool force) {
           std::chrono::milliseconds(kCheckpointRetryBackoffMs * attempt));
     }
     try {
-      ckpt.Save(ps_->global_model(), state);
+      // A step record when the manager takes one (it declines after a
+      // failed attempt, so a retry writes the full state), else a snapshot.
+      if (force || !ckpt.SaveRecord(step_record_)) {
+        ckpt.Save(ps_->global_model(), state);
+      }
       written = true;
       break;
     } catch (const std::exception& e) {
@@ -1220,6 +1238,7 @@ bool RpcServer::WriteCheckpoint(std::int64_t next_step, bool force) {
                             std::to_string(attempts) + ": " + e.what());
     }
   }
+  step_record_.steps.clear();
   if (written) {
     AddCounter(config_.telemetry, "rpc/server_checkpoints", 1.0);
     NoteCheckpointSuccess(write_timer.ElapsedMillis());
@@ -1266,8 +1285,9 @@ bool RpcServer::ResumeFromCheckpoint(const std::string& path,
   }
 
   nn::ServerState state;
+  std::vector<nn::StepRecord> records;
   std::string load_error;
-  if (!manager->Load(ps_->global_model(), &state, &load_error)) {
+  if (!manager->Load(ps_->global_model(), &state, &load_error, &records)) {
     if (error != nullptr) {
       *error = "loading server checkpoint '" + path + "': " + load_error;
     }
@@ -1282,8 +1302,7 @@ bool RpcServer::ResumeFromCheckpoint(const std::string& path,
                static_cast<double>(manager->fallbacks()));
     THREELC_LOG(Warn) << "rpc server: newest checkpoint generation unusable; "
                       << "fell back " << manager->fallbacks()
-                      << " generation(s) to '" << manager->loaded_path()
-                      << "'";
+                      << " generation(s)";
   }
   try {
     util::ByteReader reader(
@@ -1299,15 +1318,51 @@ bool RpcServer::ResumeFromCheckpoint(const std::string& path,
     }
     return false;
   }
-  if (state.evicted.size() != member_state_.size() ||
-      state.greeted.size() != greeted_.size()) {
+  const auto wrong_workers = [&](std::size_t workers) {
+    if (workers == member_state_.size()) return false;
     if (error != nullptr) {
       *error = "server checkpoint '" + path + "' was written for " +
-               std::to_string(state.evicted.size()) + " workers, not " +
+               std::to_string(workers) + " workers, not " +
                std::to_string(member_state_.size());
     }
-    return false;
+    return true;
+  };
+  if (wrong_workers(state.evicted.size())) return false;
+  ckpt_state_.replay = std::move(state.replay);
+
+  // Redo each recorded step exactly as RunStep took it: the same pushes,
+  // contributors and lr bits through ParameterServer::Step, then the same
+  // pull framing into the replay ring.
+  for (const nn::StepRecord& record : records) {
+    if (wrong_workers(record.evicted.size())) return false;
+    for (const nn::StepRecord::Step& step : record.steps) {
+      try {
+        for (std::size_t w : step.contributors) {
+          if (step.pushes[w].size() != ps_->plan().size()) {
+            throw std::runtime_error(
+                "worker " + std::to_string(w) + " has " +
+                std::to_string(step.pushes[w].size()) +
+                " push payloads, the plan " +
+                std::to_string(ps_->plan().size()) + " tensors");
+          }
+        }
+        ps_->Step(step.pushes, step.contributors, step.lr);
+      } catch (const std::exception& e) {
+        if (error != nullptr) {
+          *error = "redoing step " + std::to_string(step.step) +
+                   " from the step records after '" +
+                   manager->loaded_path() + "': " + e.what();
+        }
+        return false;
+      }
+      FramePulls(static_cast<std::int64_t>(step.step));
+    }
+    state.epoch = record.epoch;
+    state.next_step = record.steps.back().step + 1;
+    state.evicted = record.evicted;
+    state.greeted = record.greeted;
   }
+
   epoch_ = state.epoch + 1;
   resume_step_ = static_cast<std::int64_t>(state.next_step);
   for (std::size_t w = 0; w < member_state_.size(); ++w) {
@@ -1315,11 +1370,11 @@ bool RpcServer::ResumeFromCheckpoint(const std::string& path,
                                              : Member::kActive;
     greeted_[w] = state.greeted[w] != 0;
   }
-  ckpt_state_.replay = std::move(state.replay);
   resumed_ = true;
   PublishStorageHealth();
   THREELC_LOG(Info) << "rpc server: resumed from checkpoint '"
-                    << manager->loaded_path() << "' at step " << resume_step_
+                    << manager->loaded_path() << "' and " << records.size()
+                    << " step record(s) at step " << resume_step_
                     << " as epoch " << epoch_;
   return true;
 }

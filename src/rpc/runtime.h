@@ -134,20 +134,27 @@ struct RpcServerConfig {
   int lease_ms = 0;
   int heartbeat_ms = 0;
   // Server crash recovery. A non-empty checkpoint_path enables the
-  // write-ahead server checkpoint (nn::SaveServerCheckpoint: model +
-  // aggregation/optimizer/EA state + replay ring + membership + epoch),
-  // written atomically every checkpoint_every steps — after the step's
-  // state is final but BEFORE its pulls are fanned out, so no worker can
-  // ever have advanced past what a restarted server restored — plus once
-  // at Run() start (persisting the incarnation epoch) and at clean
-  // shutdown. With checkpoint_every > 1, a crash between cadence points
-  // restores an older step and rejoining workers that got further are
-  // rejected (documented clean failure, never silent divergence).
+  // write-ahead server checkpoint, written atomically as generation files
+  // "<checkpoint_path>.g<N>" (nn/checkpoint_manager.h) every
+  // checkpoint_every steps — after the step's state is final but BEFORE
+  // its pulls are fanned out, so no worker can ever have advanced past
+  // what a restarted server restores. Such a durable point writes a step
+  // record (the pushes, contributors and lr of the steps since the
+  // previous one, nn::StepRecord) unless a snapshot is due: the full
+  // state (nn::ServerState: model + optimizer/EA state + replay ring +
+  // membership + epoch) is written after a failed write and whenever the
+  // records since the newest snapshot would outweigh it, and always at
+  // Run() start (persisting the incarnation epoch) and at clean or
+  // graceful shutdown. A resume loads the newest usable snapshot and
+  // redoes the records after it. With checkpoint_every > 1, a crash
+  // between cadence points restores an older step and rejoining workers
+  // that got further are rejected (documented clean failure, never silent
+  // divergence).
   std::string checkpoint_path;
   int checkpoint_every = 1;
-  // Generations of the server checkpoint kept on disk
-  // ("<checkpoint_path>.g<N>", see nn/checkpoint_manager.h). 2 gives
-  // last-good fallback when the newest generation is torn or corrupt.
+  // Snapshots of the server checkpoint kept on disk, each with the step
+  // records after it. 2 gives last-good fallback when the newest snapshot
+  // is torn or corrupt.
   int checkpoint_retain = 2;
   // Syscall seam for checkpoint writes (util/fs.h); nullptr = the real
   // filesystem. Chaos drills install a FaultFs here. Not owned.
@@ -193,15 +200,18 @@ class RpcServer {
   void AdoptListener(int listen_fd, int port);
   int port() const { return tcp_.port(); }
 
-  // Restore a previous incarnation's checkpoint: model tensors, the
-  // parameter server's recurrence (optimizer + prev_value + pull EA
-  // contexts), the step counter, the membership/greeted tables, and the
-  // verbatim pull-replay ring. This incarnation runs as the stored epoch
+  // Restore a previous incarnation's checkpoint: the newest usable
+  // snapshot — model tensors, the parameter server's recurrence
+  // (optimizer + prev_value + pull EA contexts), the step counter, the
+  // membership/greeted tables, and the verbatim pull-replay ring — then
+  // redo every step record after it through ParameterServer::Step,
+  // rebuilding the replay ring as RunStep would have. This incarnation runs as the stored epoch
   // + 1; previously-greeted workers enter the grace window at Run() start
   // and must REJOIN (their stored pushes + the restored ring make the
   // continuation bitwise-identical to a fault-free run). Call before Run,
   // with grace_ms > 0. Returns false with *error on a missing, torn
-  // (CRC-failing), or plan-mismatched checkpoint.
+  // (CRC-failing), or plan-mismatched checkpoint, or a step record whose
+  // pushes do not decode against the plan.
   bool ResumeFromCheckpoint(const std::string& path, std::string* error);
 
   // Handshake + total_steps BSP rounds + shutdown. Returns true on a
@@ -271,6 +281,17 @@ class RpcServer {
   // rejoining worker resends the whole step).
   void ResetContribution(std::size_t w);
   bool RunStep(std::int64_t step, float lr);
+  // What FramePulls reports about one step's pull frames.
+  struct PullFrames {
+    std::size_t stage1_bytes = 0;    // the tensor codec's payloads
+    std::size_t payload_bytes = 0;   // after the block envelope
+    std::size_t incompressible = 0;  // payloads the block codec stored
+  };
+  // Envelope and frame `step`'s shared pull payloads (ps_->PullPayload)
+  // once and push the frames onto the replay ring, trimmed to
+  // max(replay_steps, 1) steps. RunStep fans these frames out; a resume
+  // rebuilds the ring with it while redoing step records.
+  PullFrames FramePulls(std::int64_t step);
   bool ApplyWorkerBuffers();
 
   // Liveness plumbing (lease_ms > 0). StampLiveness records a frame —
@@ -300,7 +321,9 @@ class RpcServer {
 
   // Server-recovery plumbing. WriteCheckpoint persists the current state
   // under `next_step` when the cadence (or `force`) says so, writing the
-  // next checkpoint generation through the CheckpointManager. An I/O
+  // next checkpoint generation through the CheckpointManager: a step
+  // record of step_record_ when the manager takes one and `force` is
+  // false, else a snapshot. An I/O
   // error is retried (twice, linear backoff), then training continues
   // DEGRADED on the last intact generation — /healthz "recovery at risk",
   // every failed attempt counted in ckpt/write_failures — instead of
@@ -395,6 +418,10 @@ class RpcServer {
   // bounded to config_.replay_steps), kept here even with checkpoints off
   // so a checkpoint writes it, and a resume restores it, without a copy.
   nn::ServerState ckpt_state_;
+  // The steps since the previous durable point (their pushes copied out
+  // of push_payloads_), written as the next step record; emptied by
+  // every durable point, whatever it wrote.
+  nn::StepRecord step_record_;
   bool ckpt_degraded_ = false;
   std::size_t ckpt_writes_ = 0;
   std::size_t ckpt_write_failures_ = 0;

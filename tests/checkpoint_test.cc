@@ -335,6 +335,109 @@ TEST(ServerCheckpoint, MagicSeparatesWorkerAndServerRecords) {
   std::remove(server_path.c_str());
 }
 
+// ---------- step records ("3LCW") ----------
+
+util::ByteBuffer Push(std::size_t size, std::uint8_t seed) {
+  util::ByteBuffer push;
+  for (std::size_t i = 0; i < size; ++i) {
+    push.PushByte(static_cast<std::uint8_t>(seed + 7 * i));
+  }
+  return push;
+}
+
+// Two steps over three workers: worker 1 is evicted, step 17 has two
+// contributors, step 18 one, and every push has its own size.
+nn::StepRecord MakeStepRecord(std::uint64_t first_step = 17) {
+  nn::StepRecord record;
+  record.epoch = 4;
+  record.evicted = {0, 1, 0};
+  record.greeted = {1, 1, 1};
+  nn::StepRecord::Step a;
+  a.step = first_step;
+  a.lr = 0.0123f;
+  a.contributors = {0, 2};
+  a.pushes.resize(3);
+  a.pushes[0] = {Push(5, 0x10), Push(1, 0x20)};
+  a.pushes[2] = {Push(3, 0x30), Push(4, 0x40)};
+  nn::StepRecord::Step b;
+  b.step = first_step + 1;
+  b.lr = -1.5e-39f;  // a subnormal: the lr must round-trip bit for bit
+  b.contributors = {2};
+  b.pushes.resize(3);
+  b.pushes[2] = {Push(2, 0x50), Push(6, 0x60)};
+  record.steps = {a, b};
+  return record;
+}
+
+void SaveStepRecord(const nn::StepRecord& record, const std::string& path) {
+  util::ByteBuffer blob;
+  nn::EncodeStepRecord(record, &blob);
+  nn::WriteStepRecord(blob, path);
+}
+
+TEST(StepRecord, RoundTripRestoresEveryField) {
+  const std::string path = TempPath("record_roundtrip.bin");
+  const nn::StepRecord want = MakeStepRecord();
+  SaveStepRecord(want, path);
+  EXPECT_TRUE(nn::IsStepRecordFile(path));
+
+  nn::StepRecord got;
+  nn::LoadStepRecord(&got, path);
+  EXPECT_EQ(got.epoch, want.epoch);
+  EXPECT_EQ(got.evicted, want.evicted);
+  EXPECT_EQ(got.greeted, want.greeted);
+  ASSERT_EQ(got.steps.size(), want.steps.size());
+  for (std::size_t i = 0; i < want.steps.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    EXPECT_EQ(got.steps[i].step, want.steps[i].step);
+    EXPECT_EQ(std::memcmp(&got.steps[i].lr, &want.steps[i].lr, sizeof(float)),
+              0);
+    EXPECT_EQ(got.steps[i].contributors, want.steps[i].contributors);
+    // Indexed by worker id; non-contributors' rows stay empty.
+    EXPECT_EQ(got.steps[i].pushes, want.steps[i].pushes);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StepRecord, EveryTruncationAndFlippedByteIsRejected) {
+  const std::string path = TempPath("record_trunc.bin");
+  SaveStepRecord(MakeStepRecord(), path);
+  const std::string contents = ReadFileBytes(path);
+  for (std::size_t len = 0; len < contents.size(); ++len) {
+    WriteFileBytes(path, contents.substr(0, len));
+    nn::StepRecord record;
+    EXPECT_THROW(nn::LoadStepRecord(&record, path), std::runtime_error)
+        << "truncated to " << len << " of " << contents.size() << " bytes";
+  }
+  for (std::size_t pos = 0; pos < contents.size(); ++pos) {
+    std::string corrupt = contents;
+    corrupt[pos] ^= 0x08;
+    WriteFileBytes(path, corrupt);
+    nn::StepRecord record;
+    EXPECT_THROW(nn::LoadStepRecord(&record, path), std::runtime_error)
+        << "flip at byte " << pos;
+  }
+  std::remove(path.c_str());
+}
+
+// A step record is not a server snapshot and vice versa.
+TEST(StepRecord, MagicSeparatesRecordsAndSnapshots) {
+  auto model = train::BuildMlp(Spec(), 7);
+  const std::string record_path = TempPath("record_magic.bin");
+  const std::string server_path = TempPath("record_magic.sckpt");
+  SaveStepRecord(MakeStepRecord(), record_path);
+  nn::SaveServerCheckpoint(model, MakeServerState(), server_path);
+
+  nn::ServerState state;
+  EXPECT_THROW(nn::LoadServerCheckpoint(model, &state, record_path),
+               std::runtime_error);
+  nn::StepRecord record;
+  EXPECT_THROW(nn::LoadStepRecord(&record, server_path), std::runtime_error);
+  EXPECT_FALSE(nn::IsStepRecordFile(server_path));
+  std::remove(record_path.c_str());
+  std::remove(server_path.c_str());
+}
+
 // ---------- 3LCZ compressed container ----------
 
 // A model whose tensor bytes are trivially compressible, so every codec
@@ -910,6 +1013,61 @@ TEST(CheckpointFormat, HugeLengthsFailWithThePath) {
   std::remove(wpath.c_str());
 }
 
+// Every u32 length/count of a MakeStepRecord() file set to 0xFFFFFFFF
+// must fail on the bytes that remain, naming the file, before anything is
+// sized by it. Offsets: magic+version (8) | epoch (8) | worker count at 16
+// | 3 + 3 table bytes | step count at 26 | step (8) + lr (4) |
+// contributor count at 42 | worker id (4) | tensor count at 50 | the first
+// push's size at 54.
+TEST(StepRecord, HugeLengthsFailWithThePath) {
+  const std::string path = TempPath("record_huge_len.bin");
+  SaveStepRecord(MakeStepRecord(), path);
+  const std::string pristine = ReadFileBytes(path);
+  std::uint32_t contributors = 0;
+  std::memcpy(&contributors, pristine.data() + 42, sizeof(contributors));
+  ASSERT_EQ(contributors, 2u);  // the layout above holds
+  for (const std::size_t at : {16, 26, 42, 50, 54}) {
+    std::string corrupt = pristine;
+    SetU32(corrupt, at, 0xFFFFFFFFu);
+    WriteFileBytes(path, corrupt);
+    nn::StepRecord record;
+    try {
+      nn::LoadStepRecord(&record, path);
+      ADD_FAILURE() << "offset " << at << ": corrupt file loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// A corrupt dimension (here negative) must be a runtime_error naming the
+// file, not a failed CHECK in a tensor::Shape built from it.
+TEST(CheckpointFormat, NegativeDimensionFailsWithThePath) {
+  auto model = train::BuildMlp(Spec(), 7);
+  const std::string path = TempPath("negative_dim.sckpt");
+  nn::SaveServerCheckpoint(model, MakeServerState(), path);
+  std::string corrupt = ReadFileBytes(path);
+  std::size_t first_dim = 0;
+  for (const LengthField& field : ServerLengthFields(corrupt)) {
+    if (field.name == "rank") first_dim = field.offset + 4;
+  }
+  const std::int64_t negative = -1;
+  std::memcpy(corrupt.data() + first_dim, &negative, sizeof(negative));
+  WriteFileBytes(path, corrupt);
+  auto restored = train::BuildMlp(Spec(), 8);
+  nn::ServerState state;
+  try {
+    nn::LoadServerCheckpoint(restored, &state, path);
+    ADD_FAILURE() << "corrupt file loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointManager, FallsBackPastHugeLengths) {
   const std::string path = TempPath("mgr_huge_len.sckpt");
   RemoveGenerations(path);
@@ -932,6 +1090,168 @@ TEST(CheckpointManager, FallsBackPastHugeLengths) {
     EXPECT_EQ(state.epoch, 0u) << field.name;
     EXPECT_EQ(victim.fallbacks(), 1) << field.name;
   }
+  RemoveGenerations(path);
+}
+
+// ---------- CheckpointManager: step records between snapshots ----------
+
+// The record for `steps` consecutive steps starting at `first`, each with
+// one contributor pushing `push_bytes` bytes.
+nn::StepRecord RecordOf(std::uint64_t first, int steps,
+                        std::size_t push_bytes = 4) {
+  nn::StepRecord record;
+  record.epoch = 5;
+  record.evicted = {0, 0, 0};
+  record.greeted = {1, 1, 0};
+  for (int i = 0; i < steps; ++i) {
+    nn::StepRecord::Step step;
+    step.step = first + static_cast<std::uint64_t>(i);
+    step.lr = 0.5f;
+    step.contributors = {1};
+    step.pushes.resize(3);
+    step.pushes[1] = {Push(push_bytes, static_cast<std::uint8_t>(i))};
+    record.steps.push_back(step);
+  }
+  return record;
+}
+
+std::string Kinds(const nn::CheckpointManager& mgr) {
+  std::string kinds;
+  for (std::uint64_t g = 0; g < mgr.next_generation(); ++g) {
+    const std::string path = mgr.GenerationPath(g);
+    if (ReadFileBytes(path).empty()) continue;
+    kinds += nn::IsStepRecordFile(path) ? 'R' : 'S';
+  }
+  return kinds;
+}
+
+TEST(CheckpointManager, SaveRecordDeclinesUntilASnapshotAndPastItsSize) {
+  const std::string path = TempPath("mgr_record_rules.sckpt");
+  RemoveGenerations(path);
+  auto model = train::BuildMlp(Spec(), 7);
+  nn::CheckpointManager mgr({path, /*retain=*/2});
+  EXPECT_FALSE(mgr.SaveRecord(RecordOf(0, 1)));  // no snapshot yet
+  EXPECT_EQ(mgr.next_generation(), 0u);
+
+  mgr.Save(model, NumberedState(0));
+  const std::size_t snapshot = ReadFileBytes(mgr.GenerationPath(0)).size();
+  util::ByteBuffer blob;
+  nn::EncodeStepRecord(RecordOf(0, 1, 300), &blob);
+  const std::size_t fits = snapshot / blob.size();
+  ASSERT_GE(fits, 2u);
+  for (std::size_t i = 0; i < fits; ++i) {
+    EXPECT_TRUE(mgr.SaveRecord(RecordOf(i, 1, 300))) << i;
+  }
+  // One more would make the records outweigh the snapshot.
+  EXPECT_FALSE(mgr.SaveRecord(RecordOf(fits, 1, 300)));
+  mgr.Save(model, NumberedState(1));
+  EXPECT_TRUE(mgr.SaveRecord(RecordOf(fits, 1, 300)));
+  EXPECT_EQ(Kinds(mgr), "S" + std::string(fits, 'R') + "SR");
+  RemoveGenerations(path);
+}
+
+TEST(CheckpointManager, FailedSaveMakesTheNextOneASnapshot) {
+  const std::string path = TempPath("mgr_record_fail.sckpt");
+  RemoveGenerations(path);
+  auto model = train::BuildMlp(Spec(), 7);
+  util::FaultFs fault(util::Fs::Real(), /*seed=*/5);
+  std::string spec_error;
+  // Write calls: 0 = the snapshot, 1 = the first record.
+  ASSERT_TRUE(fault.AddRulesFromSpec("eio:write@1", &spec_error))
+      << spec_error;
+  nn::CheckpointManager::Options options;
+  options.path = path;
+  options.fs = &fault;
+  nn::CheckpointManager mgr(options);
+  mgr.Save(model, NumberedState(0));
+  EXPECT_THROW(mgr.SaveRecord(RecordOf(0, 1)), std::runtime_error);
+  EXPECT_FALSE(mgr.SaveRecord(RecordOf(0, 1)));
+  mgr.Save(model, NumberedState(1));
+  EXPECT_TRUE(mgr.SaveRecord(RecordOf(1, 1)));
+  EXPECT_EQ(Kinds(mgr), "SSR");
+  RemoveGenerations(path);
+}
+
+TEST(CheckpointManager, RetentionCountsSnapshotsAndKeepsTheirRecords) {
+  const std::string path = TempPath("mgr_record_retain.sckpt");
+  RemoveGenerations(path);
+  auto model = train::BuildMlp(Spec(), 7);
+  nn::CheckpointManager mgr({path, /*retain=*/2});
+  mgr.Save(model, NumberedState(0));                 // g0
+  ASSERT_TRUE(mgr.SaveRecord(RecordOf(100, 1)));     // g1
+  mgr.Save(model, NumberedState(1));                 // g2
+  ASSERT_TRUE(mgr.SaveRecord(RecordOf(101, 1)));     // g3
+  ASSERT_TRUE(mgr.SaveRecord(RecordOf(102, 1)));     // g4
+  EXPECT_EQ(mgr.generation_count(), 5);
+  mgr.Save(model, NumberedState(2));                 // g5: prunes g0, g1
+  EXPECT_EQ(mgr.generation_count(), 4);
+  EXPECT_TRUE(ReadFileBytes(mgr.GenerationPath(0)).empty());
+  EXPECT_TRUE(ReadFileBytes(mgr.GenerationPath(1)).empty());
+  EXPECT_EQ(Kinds(mgr), "SRRS");
+  // A fresh incarnation's scan tells records from snapshots.
+  nn::CheckpointManager rescanned({path, /*retain=*/2});
+  rescanned.ScanAndSweep();
+  rescanned.Save(model, NumberedState(3));           // g6: prunes g2..g4
+  EXPECT_EQ(rescanned.generation_count(), 2);
+  EXPECT_EQ(Kinds(rescanned), "SS");
+  RemoveGenerations(path);
+}
+
+TEST(CheckpointManager, LoadReturnsTheRecordChainAfterTheSnapshot) {
+  const std::string path = TempPath("mgr_record_chain.sckpt");
+  RemoveGenerations(path);
+  auto model = train::BuildMlp(Spec(), 7);
+  {
+    nn::CheckpointManager mgr({path, /*retain=*/2});
+    mgr.Save(model, NumberedState(0));              // next_step 100
+    ASSERT_TRUE(mgr.SaveRecord(RecordOf(100, 2)));  // steps 100, 101
+    ASSERT_TRUE(mgr.SaveRecord(RecordOf(102, 1)));
+    ASSERT_TRUE(mgr.SaveRecord(RecordOf(103, 1)));
+  }
+  const auto load = [&](std::vector<nn::StepRecord>* records, int fallbacks) {
+    nn::CheckpointManager victim({path, /*retain=*/2});
+    auto restored = train::BuildMlp(Spec(), 8);
+    nn::ServerState state;
+    std::string error;
+    ASSERT_TRUE(victim.Load(restored, &state, &error, records)) << error;
+    EXPECT_EQ(state.next_step, 100u);
+    EXPECT_EQ(victim.loaded_path(), victim.GenerationPath(0));
+    EXPECT_EQ(victim.fallbacks(), fallbacks);
+  };
+  std::vector<nn::StepRecord> records;
+  load(&records, 0);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].steps.size(), 2u);
+  EXPECT_EQ(records[2].steps[0].step, 103u);
+
+  // A corrupt record ends the chain there and counts as a fallback.
+  nn::CheckpointManager names({path, /*retain=*/2});
+  const std::string g2 = names.GenerationPath(2);
+  const std::string pristine = ReadFileBytes(g2);
+  std::string corrupt = pristine;
+  corrupt[corrupt.size() / 2] ^= 0x01;
+  WriteFileBytes(g2, corrupt);
+  load(&records, 1);
+  EXPECT_EQ(records.size(), 1u);
+
+  // So does a record that does not continue at the step the chain is at.
+  SaveStepRecord(RecordOf(105, 1), g2);
+  load(&records, 1);
+  EXPECT_EQ(records.size(), 1u);
+
+  // A newer snapshot that fails to load is passed over: the records after
+  // it still continue the older snapshot's chain.
+  WriteFileBytes(g2, pristine);
+  {
+    nn::CheckpointManager mgr({path, /*retain=*/4});
+    mgr.ScanAndSweep();
+    mgr.Save(model, NumberedState(1));              // g4, then torn below
+    ASSERT_TRUE(mgr.SaveRecord(RecordOf(104, 1)));  // g5
+  }
+  WriteFileBytes(names.GenerationPath(4), "3LCS");
+  load(&records, 1);
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[3].steps[0].step, 104u);
   RemoveGenerations(path);
 }
 

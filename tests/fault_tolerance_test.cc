@@ -8,15 +8,19 @@
 // FaultInjector must produce identical schedules from identical seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "compress/factory.h"
+#include "nn/checkpoint.h"
 #include "obs/telemetry.h"
 #include "ps/plan.h"
 #include "rpc/fault.h"
@@ -25,6 +29,7 @@
 #include "rpc_test_setup.h"
 #include "train/model_zoo.h"
 #include "util/byte_buffer.h"
+#include "util/fs.h"
 #include "util/rng.h"
 
 namespace threelc::rpc {
@@ -378,6 +383,28 @@ TEST(FaultTolerance, RequestStopFailsRunWithReason) {
 
 // ---------- server crash recovery ----------
 
+// The generation files "<ckpt>.g<N>" on disk, by ascending N.
+std::vector<std::string> GenerationFiles(const std::string& ckpt) {
+  const std::size_t slash = ckpt.rfind('/');
+  const std::string prefix = ckpt.substr(slash + 1) + ".g";
+  std::vector<std::string> names;
+  util::Fs::Real()->List(ckpt.substr(0, slash), &names);
+  std::vector<std::pair<unsigned long long, std::string>> gens;
+  for (const std::string& name : names) {
+    if (name.rfind(prefix, 0) != 0) continue;
+    const std::string digits = name.substr(prefix.size());
+    if (digits.empty() || digits.find_first_not_of("0123456789") !=
+                              std::string::npos) {
+      continue;
+    }
+    gens.emplace_back(std::stoull(digits), ckpt.substr(0, slash + 1) + name);
+  }
+  std::sort(gens.begin(), gens.end());
+  std::vector<std::string> paths;
+  for (auto& gen : gens) paths.push_back(std::move(gen.second));
+  return paths;
+}
+
 // Kill the *server* right after it completes step `kill_step` (its
 // write-ahead checkpoint already on disk), resume a fresh server process
 // from that checkpoint on the same port, and require the final global
@@ -388,11 +415,14 @@ TEST(FaultTolerance, RequestStopFailsRunWithReason) {
 // after the step's write-ahead checkpoint, before any byte of its fan-out
 // leaves), and both incarnations share the injector, as the example's
 // supervisor does: the spent rule must not kill the resumed server while
-// it replays that step.
-void ExpectServerKillResumeParity(const compress::CodecConfig& codec,
-                                  std::int64_t kill_step,
-                                  const std::string& block_codec = "store",
-                                  bool kill_rule = false) {
+// it replays that step. `fs`, when given, is the first incarnation's
+// checkpoint syscall seam; `inspect` sees the checkpoint path between the
+// two incarnations.
+void ExpectServerKillResumeParity(
+    const compress::CodecConfig& codec, std::int64_t kill_step,
+    const std::string& block_codec = "store", bool kill_rule = false,
+    util::Fs* fs = nullptr,
+    const std::function<void(const std::string&)>& inspect = nullptr) {
   SCOPED_TRACE("kill_step=" + std::to_string(kill_step));
   constexpr int kWorkers = 2;
   TestSetup setup = MakeTestSetup(kWorkers, /*steps=*/6, codec);
@@ -400,6 +430,9 @@ void ExpectServerKillResumeParity(const compress::CodecConfig& codec,
   const std::string ckpt = ::testing::TempDir() + "/ft_server_kill_" +
                            std::to_string(kill_step) + ".sckpt";
   std::remove(ckpt.c_str());
+  for (const std::string& gen : GenerationFiles(ckpt)) {  // an earlier run's
+    std::remove(gen.c_str());
+  }
 
   std::string error;
   FaultInjector injector(/*seed=*/3);
@@ -407,6 +440,7 @@ void ExpectServerKillResumeParity(const compress::CodecConfig& codec,
   ServerChaos crashy;
   crashy.checkpoint_path = ckpt;
   crashy.checkpoint_every = 1;
+  crashy.fs = fs;
   if (kill_rule) {
     ASSERT_TRUE(injector.AddRulesFromSpec(
         "killserver:pull@" + std::to_string(kill_step), &error))
@@ -436,6 +470,7 @@ void ExpectServerKillResumeParity(const compress::CodecConfig& codec,
   server1_thread.join();
   EXPECT_FALSE(server1_ok);
   ASSERT_TRUE(h1.server->simulated_exit()) << h1.server->error();
+  if (inspect) inspect(ckpt);
 
   // Second incarnation: restore everything from the checkpoint and rebind
   // the same port (SO_REUSEADDR) while the workers are still retrying.
@@ -495,6 +530,46 @@ TEST(FaultTolerance, KillServerRuleSharedAcrossRestartBitwiseParity3lc) {
 TEST(FaultTolerance, KillServerResumeBitwiseParity3lcWithBlockCodec) {
   ExpectServerKillResumeParity(compress::CodecConfig::ThreeLC(1.0f),
                                /*kill_step=*/2, "lz+rans");
+}
+
+// The kinds of the generation files at `ckpt`, oldest first: 'S' for a
+// snapshot, 'R' for a step record.
+std::string GenerationKinds(const std::string& ckpt) {
+  std::string kinds;
+  for (const std::string& path : GenerationFiles(ckpt)) {
+    kinds += nn::IsStepRecordFile(path) ? 'R' : 'S';
+  }
+  return kinds;
+}
+
+// Float32 pushes make each step record two model copies, so the records
+// since the Run()-start snapshot outweigh it after two steps and the size
+// rule writes a snapshot instead; the resume must load that snapshot and
+// redo the records after it bitwise.
+TEST(FaultTolerance, KillServerResumeFromSizeRuleSnapshotBitwiseParity) {
+  ExpectServerKillResumeParity(
+      compress::CodecConfig::Float32(), /*kill_step=*/3, "store",
+      /*kill_rule=*/false, /*fs=*/nullptr, [](const std::string& ckpt) {
+        // Run()-start snapshot, step 0's record, the size rule's snapshot
+        // at step 1, then steps 2 and 3 as records.
+        EXPECT_EQ(GenerationKinds(ckpt), "SRSRR");
+      });
+}
+
+// One failed record write (EIO on step 1's record): the retry at the same
+// durable point writes a snapshot, so the record chain has no gap, and a
+// kill at step 4's fan-out still resumes bitwise from it.
+TEST(FaultTolerance, FailedRecordWriteIsFollowedBySnapshotBitwiseParity) {
+  util::FaultFs fs(util::Fs::Real(), /*seed=*/1);
+  std::string error;
+  // Write calls: 0 = the Run()-start snapshot, 1 + s = step s's record.
+  ASSERT_TRUE(fs.AddRulesFromSpec("eio:write@2", &error)) << error;
+  ExpectServerKillResumeParity(
+      compress::CodecConfig::ThreeLC(1.0f), /*kill_step=*/4, "store",
+      /*kill_rule=*/true, &fs, [&fs](const std::string& ckpt) {
+        EXPECT_EQ(fs.faults_injected(), 1u);
+        EXPECT_EQ(GenerationKinds(ckpt), "SRSRRR");
+      });
 }
 
 // Worst case: the server crashes at the same step a worker does, so the
@@ -597,7 +672,8 @@ TEST(FaultTolerance, TornServerCheckpointFallsBackOrIsRejected) {
   }
 
   // Produce valid generations via a clean run. checkpoint_every=1 over
-  // two steps with the default retention of 2 leaves exactly g0 and g1.
+  // two steps leaves the Run()-start snapshot, one step record per step
+  // and the shutdown snapshot: the default retention of 2 keeps them all.
   ServerChaos chaos;
   chaos.checkpoint_path = ckpt;
   chaos.checkpoint_every = 1;
@@ -613,8 +689,7 @@ TEST(FaultTolerance, TornServerCheckpointFallsBackOrIsRejected) {
   ASSERT_TRUE(server_ok) << h.server->error();
   ASSERT_TRUE(result.ok) << result.error;
 
-  // Retention keeps the two newest generations; their numbers depend on
-  // how many forced writes the run performed, so discover them.
+  // Discover the generation numbers rather than assume them.
   std::vector<std::string> gens;
   for (int g = 0; g < 32; ++g) {
     const std::string path = ckpt + ".g" + std::to_string(g);
@@ -624,9 +699,13 @@ TEST(FaultTolerance, TornServerCheckpointFallsBackOrIsRejected) {
       gens.push_back(path);
     }
   }
-  ASSERT_EQ(gens.size(), 2u) << "expected retention to keep 2 generations";
-  const std::string gen0 = gens[0];  // older
-  const std::string gen1 = gens[1];  // newest
+  ASSERT_EQ(gens.size(), 4u) << "expected 2 snapshots and 2 step records";
+  for (std::size_t i = 0; i < gens.size(); ++i) {
+    const bool snapshot = i == 0 || i + 1 == gens.size();
+    EXPECT_NE(nn::IsStepRecordFile(gens[i]), snapshot) << gens[i];
+  }
+  const std::string gen0 = gens.front();  // older snapshot
+  const std::string gen1 = gens.back();   // newest snapshot
   const auto read_bytes = [](const std::string& path) {
     std::vector<unsigned char> bytes;
     std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -691,8 +770,7 @@ TEST(FaultTolerance, TornServerCheckpointFallsBackOrIsRejected) {
       << resume_error;
   EXPECT_EQ(fresh.server->checkpoint_fallbacks(), 0u);
   EXPECT_EQ(fresh.server->epoch(), 2u);
-  std::remove(gen0.c_str());
-  std::remove(gen1.c_str());
+  for (const std::string& gen : gens) std::remove(gen.c_str());
 }
 
 // ---------- liveness: leases, hangs, one-way partitions ----------

@@ -1,14 +1,22 @@
 // Failure-injection tests: decoders must survive corrupted, truncated, and
 // adversarial payloads — either throwing a std::exception or producing a
-// finite tensor — but never crashing or reading out of bounds.
+// finite tensor — but never crashing or reading out of bounds. The disk
+// decoders (server snapshots and step records) are held to the same bar
+// on files their own encoders wrote.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <fstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "compress/factory.h"
+#include "nn/checkpoint.h"
 #include "tensor/tensor_ops.h"
+#include "train/model_zoo.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace threelc::compress {
@@ -201,3 +209,104 @@ INSTANTIATE_TEST_SUITE_P(
 
 }  // namespace
 }  // namespace threelc::compress
+
+namespace threelc::nn {
+namespace {
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// Seeded corruptions of `pristine`, each written to `path` and handed to
+// `load`, which must either succeed or throw std::runtime_error (anything
+// else escapes and fails the test). A trial truncates the file (one in
+// four), flips one to three bytes, and then, half the time, re-seals the
+// CRC32C trailer over the corrupt body, so the corruption reaches the
+// parser's structural checks instead of stopping at the checksum.
+template <typename Load>
+void FuzzFile(const std::string& pristine, const std::string& path,
+              std::uint64_t seed, Load&& load) {
+  util::Rng rng(seed);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string bytes = pristine;
+    if (rng.Below(4) == 0) bytes.resize(rng.Below(bytes.size()));
+    const std::uint64_t flips = 1 + rng.Below(3);
+    for (std::uint64_t f = 0; f < flips && !bytes.empty(); ++f) {
+      bytes[rng.Below(bytes.size())] ^=
+          static_cast<char>(1 + rng.Below(255));
+    }
+    // Magic + version (8 bytes) precede the CRC-covered body.
+    if (rng.Below(2) == 0 && bytes.size() >= 12) {
+      const std::uint32_t crc =
+          util::Crc32c(bytes.data() + 8, bytes.size() - 12);
+      std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+    }
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    try {
+      load(path);
+    } catch (const std::runtime_error&) {
+      // rejecting corrupt input is correct behaviour
+    }
+  }
+  std::remove(path.c_str());
+}
+
+util::ByteBuffer Bytes(std::size_t n, std::uint8_t seed) {
+  util::ByteBuffer b;
+  for (std::size_t i = 0; i < n; ++i) {
+    b.PushByte(static_cast<std::uint8_t>(seed + 13 * i));
+  }
+  return b;
+}
+
+TEST(DiskDecodeFuzz, StepRecord) {
+  StepRecord record;
+  record.epoch = 2;
+  record.evicted = {0, 0, 1};
+  record.greeted = {1, 1, 1};
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    StepRecord::Step step;
+    step.step = 40 + s;
+    step.lr = 0.01f * static_cast<float>(s + 1);
+    step.contributors = {0, 1};
+    step.pushes.resize(3);
+    for (std::size_t w : step.contributors) {
+      step.pushes[w] = {Bytes(9 + s, static_cast<std::uint8_t>(w)),
+                        Bytes(3, static_cast<std::uint8_t>(s))};
+    }
+    record.steps.push_back(step);
+  }
+  util::ByteBuffer blob;
+  EncodeStepRecord(record, &blob);
+  const std::string pristine(reinterpret_cast<const char*>(blob.data()),
+                             blob.size());
+  FuzzFile(pristine, ::testing::TempDir() + "/fuzz_record.bin", 11,
+           [](const std::string& path) {
+             StepRecord loaded;
+             LoadStepRecord(&loaded, path);
+           });
+}
+
+TEST(DiskDecodeFuzz, ServerSnapshot) {
+  auto model = train::BuildMlp({6, {8}, 3, true}, 3);
+  ServerState state;
+  state.epoch = 2;
+  state.next_step = 9;
+  state.ps_state = {1, 2, 3, 4};
+  state.evicted = {0, 1};
+  state.greeted = {1, 1};
+  state.replay.push_back({7, {Bytes(6, 1), Bytes(2, 2)}});
+  state.replay.push_back({8, {Bytes(4, 3), Bytes(5, 4)}});
+  const std::string path = ::testing::TempDir() + "/fuzz_snapshot.sckpt";
+  SaveServerCheckpoint(model, state, path);
+  FuzzFile(ReadFile(path), path, 12, [&model](const std::string& p) {
+    ServerState loaded;
+    LoadServerCheckpoint(model, &loaded, p);
+  });
+}
+
+}  // namespace
+}  // namespace threelc::nn

@@ -152,6 +152,7 @@ struct ServerChaos {
   std::int64_t exit_after_step = -1;
   int lease_ms = 0;
   int heartbeat_ms = 0;
+  util::Fs* fs = nullptr;  // checkpoint syscall seam; not owned
 };
 
 inline ServerHarness MakeServer(const TestSetup& setup, int grace_ms = 0,
@@ -186,6 +187,7 @@ inline ServerHarness MakeServer(const TestSetup& setup, int grace_ms = 0,
   sc.block_codec = setup.block_codec;
   sc.lease_ms = chaos.lease_ms;
   sc.heartbeat_ms = chaos.heartbeat_ms;
+  sc.fs = chaos.fs;
   sc.telemetry = setup.telemetry;
   h.server = std::make_unique<RpcServer>(sc, *h.ps, h.codec->name());
   return h;

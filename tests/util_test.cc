@@ -1,5 +1,5 @@
-// Unit tests for the util substrate: RNG, byte buffers, statistics,
-// CSV emission, and the thread pool.
+// Unit tests for the util substrate: RNG, byte buffers, CSV emission,
+// the thread pool, and the filesystem seam.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -22,7 +21,6 @@
 #include "util/csv_writer.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -239,110 +237,6 @@ TEST(ByteReader, PositionTracksConsumption) {
   EXPECT_EQ(r.position(), 0u);
   r.ReadU32();
   EXPECT_EQ(r.position(), 4u);
-}
-
-// ---------- RunningStat ----------
-
-TEST(RunningStat, EmptyIsZero) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStat, SingleValue) {
-  RunningStat s;
-  s.Add(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_EQ(s.mean(), 5.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.min(), 5.0);
-  EXPECT_EQ(s.max(), 5.0);
-}
-
-TEST(RunningStat, KnownMeanVariance) {
-  RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  // Sample variance of this classic dataset is 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStat, MergeMatchesCombinedStream) {
-  RunningStat a, b, all;
-  Rng rng(31);
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.Normal();
-    (i % 2 ? a : b).Add(x);
-    all.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(RunningStat, MergeWithEmptyIsIdentity) {
-  RunningStat a, empty;
-  a.Add(1.0);
-  a.Add(3.0);
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.mean(), 2.0);
-}
-
-TEST(RunningStat, MergeEmptyWithEmptyStaysEmpty) {
-  RunningStat a, b;
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.mean(), 0.0);
-  EXPECT_EQ(a.variance(), 0.0);
-}
-
-TEST(RunningStat, MergeEmptyWithNonEmptyTakesOther) {
-  RunningStat empty, b;
-  b.Add(2.0);
-  b.Add(4.0);
-  b.Add(6.0);
-  empty.Merge(b);
-  EXPECT_EQ(empty.count(), 3u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(empty.min(), 2.0);
-  EXPECT_DOUBLE_EQ(empty.max(), 6.0);
-  EXPECT_DOUBLE_EQ(empty.variance(), b.variance());
-}
-
-TEST(RunningStat, MergeLargeCountsIsNumericallyStable) {
-  // Chan's parallel formula must not lose precision when both sides hold
-  // millions of samples whose means differ only slightly.
-  RunningStat a, b, all;
-  constexpr int kN = 1'000'000;
-  for (int i = 0; i < kN; ++i) {
-    const double xa = 1000.0 + 1e-6 * static_cast<double>(i % 97);
-    const double xb = 1000.0 + 1e-6 * static_cast<double>((i + 13) % 89);
-    a.Add(xa);
-    b.Add(xb);
-    all.Add(xa);
-    all.Add(xb);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), static_cast<std::size_t>(2 * kN));
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-12);
-}
-
-TEST(Ema, TracksConstantInput) {
-  Ema ema(0.1);
-  for (int i = 0; i < 100; ++i) ema.Add(4.0);
-  EXPECT_NEAR(ema.value(), 4.0, 1e-12);
-}
-
-TEST(Ema, FirstValueInitializes) {
-  Ema ema(0.5);
-  ema.Add(10.0);
-  EXPECT_EQ(ema.value(), 10.0);
 }
 
 // ---------- CsvWriter ----------
