@@ -1,5 +1,6 @@
 #include "rpc/frame.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/crc32.h"
@@ -183,22 +184,31 @@ HeartbeatPayload DecodeHeartbeat(util::ByteSpan bytes) {
   return payload;
 }
 
-void EncodeFrame(const FrameHeader& header, util::ByteSpan payload,
-                 util::ByteBuffer& out) {
+std::array<std::uint8_t, kFrameHeaderBytes> EncodeFrameHeader(
+    const FrameHeader& header, util::ByteSpan payload) {
   THREELC_CHECK_MSG(payload.size() <= kMaxPayloadBytes,
                     "frame payload too large: " << payload.size());
-  const std::size_t start = out.size();
-  out.AppendU32(kFrameMagic);
-  out.AppendU8(kProtocolVersion);
-  out.AppendU8(static_cast<std::uint8_t>(header.type));
-  out.AppendU16(header.flags);
-  out.AppendU64(header.step);
-  out.AppendU32(header.tensor);
-  out.AppendU32(static_cast<std::uint32_t>(payload.size()));
-  // CRC covers the 24 header bytes just written plus the payload.
-  std::uint32_t crc = util::Crc32c(out.data() + start, kFrameHeaderBytes - 4);
-  crc = util::Crc32cExtend(crc, payload.data(), payload.size());
-  out.AppendU32(crc);
+  std::array<std::uint8_t, kFrameHeaderBytes> head;
+  auto put = [&head](std::size_t off, auto v) {
+    std::memcpy(head.data() + off, &v, sizeof(v));
+  };
+  put(0, kFrameMagic);
+  put(4, kProtocolVersion);
+  put(5, static_cast<std::uint8_t>(header.type));
+  put(6, header.flags);
+  put(8, header.step);
+  put(16, header.tensor);
+  put(20, static_cast<std::uint32_t>(payload.size()));
+  // CRC covers the 24 header bytes before it plus the payload.
+  std::uint32_t crc = util::Crc32c(head.data(), kFrameHeaderBytes - 4);
+  put(24, util::Crc32cExtend(crc, payload.data(), payload.size()));
+  return head;
+}
+
+void EncodeFrame(const FrameHeader& header, util::ByteSpan payload,
+                 util::ByteBuffer& out) {
+  const auto head = EncodeFrameHeader(header, payload);
+  out.Append(head.data(), head.size());
   out.Append(payload);
 }
 
@@ -213,56 +223,75 @@ void EncodeFrame(MsgType type, std::uint64_t step, std::uint32_t tensor,
 
 bool FrameParser::Fail(ParseError error) {
   error_ = error;
-  buf_.clear();
-  consumed_ = 0;
+  frame_ = Frame();
+  have_ = 0;
   return false;
 }
 
-void FrameParser::Compact() {
-  if (consumed_ == 0) return;
-  buf_.erase(buf_.begin(),
-             buf_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-  consumed_ = 0;
+std::span<std::uint8_t> FrameParser::Next() {
+  if (poisoned()) return {};
+  if (have_ < kFrameHeaderBytes) {
+    return std::span<std::uint8_t>(head_ + have_, kFrameHeaderBytes - have_);
+  }
+  const std::size_t got = have_ - kFrameHeaderBytes;
+  return std::span<std::uint8_t>(frame_.payload.data() + got,
+                                 frame_.payload.size() - got);
+}
+
+bool FrameParser::Commit(std::size_t n, std::vector<Frame>* out) {
+  if (poisoned()) return false;
+  if (have_ < kFrameHeaderBytes) {
+    have_ += n;
+    if (have_ < kFrameHeaderBytes) return true;
+    if (!StartPayload()) return false;
+  } else {
+    crc_ = util::Crc32cExtend(
+        crc_, frame_.payload.data() + (have_ - kFrameHeaderBytes), n);
+    have_ += n;
+  }
+  if (have_ < kFrameHeaderBytes + frame_.payload.size()) return true;
+  std::uint32_t expected;
+  std::memcpy(&expected, head_ + kFrameHeaderBytes - 4, sizeof(expected));
+  if (crc_ != expected) return Fail(ParseError::kBadCrc);
+  out->push_back(std::move(frame_));
+  frame_ = Frame();
+  have_ = 0;
+  return true;
+}
+
+bool FrameParser::StartPayload() {
+  auto read_u32 = [this](std::size_t off) {
+    std::uint32_t v;
+    std::memcpy(&v, head_ + off, sizeof(v));
+    return v;
+  };
+  if (read_u32(0) != kFrameMagic) return Fail(ParseError::kBadMagic);
+  if (head_[4] != kProtocolVersion) return Fail(ParseError::kBadVersion);
+  if (!IsValidMsgType(head_[5])) return Fail(ParseError::kBadType);
+  const std::uint32_t payload_len = read_u32(20);
+  if (payload_len > kMaxPayloadBytes) return Fail(ParseError::kOversized);
+
+  FrameHeader& header = frame_.header;
+  header.type = static_cast<MsgType>(head_[5]);
+  std::memcpy(&header.flags, head_ + 6, sizeof(header.flags));
+  std::memcpy(&header.step, head_ + 8, sizeof(header.step));
+  header.tensor = read_u32(16);
+  header.payload_len = payload_len;
+  frame_.payload.Resize(payload_len);
+  crc_ = util::Crc32c(head_, kFrameHeaderBytes - 4);
+  return true;
 }
 
 bool FrameParser::Feed(util::ByteSpan bytes, std::vector<Frame>* out) {
-  if (poisoned()) return false;
-  buf_.insert(buf_.end(), bytes.data(), bytes.data() + bytes.size());
-
-  while (buf_.size() - consumed_ >= kFrameHeaderBytes) {
-    const std::uint8_t* head = buf_.data() + consumed_;
-    auto read_u32 = [&](std::size_t off) {
-      std::uint32_t v;
-      std::memcpy(&v, head + off, sizeof(v));
-      return v;
-    };
-    if (read_u32(0) != kFrameMagic) return Fail(ParseError::kBadMagic);
-    if (head[4] != kProtocolVersion) return Fail(ParseError::kBadVersion);
-    if (!IsValidMsgType(head[5])) return Fail(ParseError::kBadType);
-    const std::uint32_t payload_len = read_u32(20);
-    if (payload_len > kMaxPayloadBytes) return Fail(ParseError::kOversized);
-    if (buf_.size() - consumed_ < kFrameHeaderBytes + payload_len) {
-      break;  // wait for the rest of the payload
-    }
-    const std::uint8_t* payload = head + kFrameHeaderBytes;
-    std::uint32_t crc = util::Crc32c(head, kFrameHeaderBytes - 4);
-    crc = util::Crc32cExtend(crc, payload, payload_len);
-    if (crc != read_u32(kFrameHeaderBytes - 4)) {
-      return Fail(ParseError::kBadCrc);
-    }
-
-    Frame frame;
-    std::memcpy(&frame.header.flags, head + 6, sizeof(std::uint16_t));
-    std::memcpy(&frame.header.step, head + 8, sizeof(std::uint64_t));
-    frame.header.type = static_cast<MsgType>(head[5]);
-    frame.header.tensor = read_u32(16);
-    frame.header.payload_len = payload_len;
-    frame.payload.Append(payload, payload_len);
-    out->push_back(std::move(frame));
-    consumed_ += kFrameHeaderBytes + payload_len;
+  while (!bytes.empty()) {
+    const std::span<std::uint8_t> next = Next();
+    if (next.empty()) return false;  // poisoned
+    const std::size_t n = std::min(next.size(), bytes.size());
+    std::memcpy(next.data(), bytes.data(), n);
+    if (!Commit(n, out)) return false;
+    bytes = bytes.subspan(n);
   }
-  Compact();
-  return true;
+  return !poisoned();
 }
 
 }  // namespace threelc::rpc

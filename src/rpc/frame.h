@@ -20,15 +20,25 @@
 // no zeroed-field dance — and a flipped bit anywhere in header or payload
 // is caught before a frame is surfaced.
 //
-// FrameParser is incremental: feed it whatever recv(2) returned — half a
-// header, three frames and a tail, one byte at a time — and it emits
-// complete frames in order. Any malformed input (bad magic/version/type,
-// oversized length, CRC mismatch) poisons the parser with a ParseError;
-// the connection must then be dropped, since resynchronizing an arbitrary
-// byte stream is not attempted.
+// FrameParser is incremental and moves each byte once: it alternates
+// between the 28 header bytes and the payload, and always exposes where
+// the next stream bytes belong (Next): the rest of the header, or the rest
+// of the current frame's payload. Once a header passes the magic, version,
+// type and length checks, the parser sizes Frame::payload to its length
+// (never above kMaxPayloadBytes), so a transport can recv(2) straight into
+// the frame's final buffer and Commit what arrived; Commit CRCs those
+// bytes while they are still in cache. Feed copies a span in through the
+// same path, so it accepts whatever recv(2) returned — half a header,
+// three frames and a tail, one byte at a time — and emits complete frames
+// in order. Any malformed input (bad magic/version/type, oversized length,
+// CRC mismatch) poisons the parser with a ParseError; the connection must
+// then be dropped, since resynchronizing an arbitrary byte stream is not
+// attempted.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,6 +102,11 @@ struct Frame {
   util::ByteBuffer payload;
 };
 
+// The header (CRC included) of a frame carrying `payload`, for senders
+// that write the payload from where it lies. payload.size() must be at
+// most kMaxPayloadBytes.
+std::array<std::uint8_t, kFrameHeaderBytes> EncodeFrameHeader(
+    const FrameHeader& header, util::ByteSpan payload);
 // Append one complete frame (header incl. CRC, then payload) to `out`.
 // Sets header.payload_len from `payload`; payload.size() must be at most
 // kMaxPayloadBytes.
@@ -186,6 +201,18 @@ const char* ParseErrorName(ParseError error);
 
 class FrameParser {
  public:
+  // Where the next stream bytes go: the rest of the current header or of
+  // the current payload. Never empty while the parser is well-formed, and
+  // never longer than the current frame's remaining bytes, so bytes
+  // written here never spill into the next frame. Empty once poisoned.
+  // Valid until the next Commit or Feed.
+  std::span<std::uint8_t> Next();
+  // Account for the first `n` bytes of Next() (n <= Next().size()), which
+  // the caller has filled: check a completed header, CRC payload bytes,
+  // and append a completed frame to `*out`. Returns false on the first
+  // malformed byte and records error().
+  bool Commit(std::size_t n, std::vector<Frame>* out);
+
   // Consume `bytes`, appending every completed frame to `*out`. Returns
   // true while the stream is well-formed (possibly with a partial frame
   // buffered); returns false on the first malformed byte and records
@@ -194,16 +221,19 @@ class FrameParser {
 
   ParseError error() const { return error_; }
   bool poisoned() const { return error_ != ParseError::kNone; }
-  // Bytes held waiting for the rest of a frame.
-  std::size_t buffered_bytes() const { return buf_.size() - consumed_; }
+  // Bytes held of a frame not yet complete (header and payload).
+  std::size_t buffered_bytes() const { return have_; }
 
  private:
   bool Fail(ParseError error);
-  void Compact();
+  // Check the completed header and size the payload for it.
+  bool StartPayload();
 
   ParseError error_ = ParseError::kNone;
-  std::vector<std::uint8_t> buf_;
-  std::size_t consumed_ = 0;  // parsed prefix of buf_ awaiting Compact
+  std::uint8_t head_[kFrameHeaderBytes] = {};
+  Frame frame_;             // the frame being received
+  std::size_t have_ = 0;    // bytes of it received, header included
+  std::uint32_t crc_ = 0;   // CRC32C of the bytes received so far
 };
 
 }  // namespace threelc::rpc

@@ -10,6 +10,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <thread>
 #include <unistd.h>
 
@@ -240,8 +241,9 @@ void Connection::Close() {
   }
 }
 
-bool Connection::QueueAndFlush(const std::uint8_t* data, std::size_t size,
+bool Connection::QueueAndFlush(util::ByteSpan head, util::ByteSpan body,
                                std::size_t frame_count) {
+  const std::size_t size = head.size() + body.size();
   if (queued_bytes() + size > max_queued_bytes_) {
     if (metrics_ != nullptr && metrics_->backpressure_rejects != nullptr) {
       metrics_->backpressure_rejects->Add(1.0);
@@ -251,26 +253,26 @@ bool Connection::QueueAndFlush(const std::uint8_t* data, std::size_t size,
                   std::to_string(max_queued_bytes_) + " bytes)";
     return false;
   }
-  outbuf_.insert(outbuf_.end(), data, data + size);
   if (metrics_ != nullptr && metrics_->frames_tx != nullptr &&
       frame_count > 0) {
     metrics_->frames_tx->Add(static_cast<double>(frame_count));
   }
-  return FlushSome() != IoResult::kError;
+  return FlushSome(head, body) != IoResult::kError;
 }
 
-bool Connection::SendEncoded(util::ByteSpan frame_bytes,
-                             std::size_t frame_count) {
+bool Connection::Send(util::ByteSpan head, util::ByteSpan body,
+                      std::size_t frame_count) {
   if (!open()) {
     last_error_ = "send on closed connection";
     return false;
   }
+  const std::size_t size = head.size() + body.size();
   if (fault_ != nullptr && frame_count == 1 &&
-      frame_bytes.size() >= kFrameHeaderBytes) {
-    const MsgType type = static_cast<MsgType>(frame_bytes.data()[5]);
+      head.size() >= kFrameHeaderBytes) {
+    const MsgType type = static_cast<MsgType>(head[5]);
     std::uint64_t step = 0;
-    std::memcpy(&step, frame_bytes.data() + 8, sizeof(step));
-    const FaultDecision fault = fault_->OnSend(type, step, frame_bytes.size());
+    std::memcpy(&step, head.data() + 8, sizeof(step));
+    const FaultDecision fault = fault_->OnSend(type, step, size);
     if (fault.action != FaultAction::kNone && metrics_ != nullptr &&
         metrics_->faults_injected != nullptr) {
       metrics_->faults_injected->Add(1.0);
@@ -285,15 +287,15 @@ bool Connection::SendEncoded(util::ByteSpan frame_bytes,
             std::chrono::milliseconds(fault.delay_ms));
         break;
       case FaultAction::kCorrupt: {
-        std::vector<std::uint8_t> mangled(
-            frame_bytes.data(), frame_bytes.data() + frame_bytes.size());
+        std::vector<std::uint8_t> mangled(head.begin(), head.end());
+        mangled.insert(mangled.end(), body.begin(), body.end());
         mangled[fault.byte_offset % mangled.size()] ^= 0x01;
-        return QueueAndFlush(mangled.data(), mangled.size(), frame_count);
+        return QueueAndFlush(mangled, {}, frame_count);
       }
       case FaultAction::kTruncate: {
-        const std::size_t keep =
-            std::min(fault.byte_offset, frame_bytes.size() - 1);
-        QueueAndFlush(frame_bytes.data(), keep, 0);
+        const std::size_t keep = std::min(fault.byte_offset, size - 1);
+        const std::size_t keep_head = std::min(keep, head.size());
+        QueueAndFlush(head.first(keep_head), body.first(keep - keep_head), 0);
         FlushOutput(100);
         Close();
         last_error_ = "injected fault: truncated frame";
@@ -328,19 +330,30 @@ bool Connection::SendEncoded(util::ByteSpan frame_bytes,
         break;  // rx-only cut: this frame still goes out
     }
   }
-  return QueueAndFlush(frame_bytes.data(), frame_bytes.size(), frame_count);
+  return QueueAndFlush(head, body, frame_count);
+}
+
+bool Connection::SendEncoded(util::ByteSpan frame_bytes,
+                             std::size_t frame_count) {
+  return Send(frame_bytes, {}, frame_count);
 }
 
 bool Connection::SendFrame(MsgType type, std::uint64_t step,
                            std::uint32_t tensor, util::ByteSpan payload) {
-  util::ByteBuffer encoded(kFrameHeaderBytes + payload.size());
-  EncodeFrame(type, step, tensor, payload, encoded);
-  return SendEncoded(encoded.span(), 1);
+  FrameHeader header;
+  header.type = type;
+  header.step = step;
+  header.tensor = tensor;
+  const auto head = EncodeFrameHeader(header, payload);
+  return Send(head, payload, 1);
 }
 
-Connection::IoResult Connection::FlushSome() {
-  if (tx_stalled_) return IoResult::kOk;  // frozen endpoint: queue holds
-  if (tx_dropped_) {
+Connection::IoResult Connection::FlushSome(util::ByteSpan head,
+                                           util::ByteSpan body) {
+  if (tx_stalled_ || tx_dropped_) {
+    outbuf_.insert(outbuf_.end(), head.begin(), head.end());
+    outbuf_.insert(outbuf_.end(), body.begin(), body.end());
+    if (tx_stalled_) return IoResult::kOk;  // frozen endpoint: queue holds
     // Partitioned tx: the app's sends "succeed" but the bytes are lost in
     // the network, so the queue drains without touching the socket.
     outbuf_.clear();
@@ -350,13 +363,33 @@ Connection::IoResult Connection::FlushSome() {
     }
     return IoResult::kOk;
   }
-  obs::ScopedStage stage(&obs::StageProfiler::Global(), "write_flush");
-  while (wants_write()) {
-    const ssize_t n = send(fd_, outbuf_.data() + out_head_,
-                           outbuf_.size() - out_head_, MSG_NOSIGNAL);
+  // Queue first, then the new frame's pieces: one sendmsg(2) writes them
+  // in order without first concatenating them.
+  iovec iov[3] = {{outbuf_.data() + out_head_, queued_bytes()},
+                  {const_cast<std::uint8_t*>(head.data()), head.size()},
+                  {const_cast<std::uint8_t*>(body.data()), body.size()}};
+  std::size_t first = 0;  // first iov with bytes left
+  std::size_t written = 0;
+  auto skip_empty = [&] {
+    while (first < 3 && iov[first].iov_len == 0) ++first;
+  };
+  skip_empty();
+  while (first < 3) {
+    msghdr msg{};
+    msg.msg_iov = iov + first;
+    msg.msg_iovlen = 3 - first;
+    const ssize_t n = sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n > 0) {
-      out_head_ += static_cast<std::size_t>(n);
       if (metrics_ != nullptr) metrics_->CountTx(static_cast<std::size_t>(n));
+      written += static_cast<std::size_t>(n);
+      for (std::size_t left = static_cast<std::size_t>(n); left > 0;) {
+        const std::size_t take = std::min(left, iov[first].iov_len);
+        iov[first].iov_base = static_cast<std::uint8_t*>(iov[first].iov_base) +
+                              take;
+        iov[first].iov_len -= take;
+        left -= take;
+        skip_empty();
+      }
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -364,6 +397,7 @@ Connection::IoResult Connection::FlushSome() {
     last_error_ = ErrnoString("send");
     return IoResult::kError;
   }
+  out_head_ += std::min(written, queued_bytes());
   if (out_head_ == outbuf_.size()) {
     outbuf_.clear();
     out_head_ = 0;
@@ -372,27 +406,48 @@ Connection::IoResult Connection::FlushSome() {
                   outbuf_.begin() + static_cast<std::ptrdiff_t>(out_head_));
     out_head_ = 0;
   }
+  // Whatever of the new frame the socket refused is copied now, so the
+  // caller's bytes are free when the send returns.
+  for (std::size_t i = 1; i < 3; ++i) {
+    const auto* tail = static_cast<const std::uint8_t*>(iov[i].iov_base);
+    outbuf_.insert(outbuf_.end(), tail, tail + iov[i].iov_len);
+  }
   if (metrics_ != nullptr && metrics_->write_queue_bytes != nullptr) {
     metrics_->write_queue_bytes->Set(static_cast<double>(queued_bytes()));
   }
   return IoResult::kOk;
 }
 
-Connection::IoResult Connection::HandleWritable() { return FlushSome(); }
+Connection::IoResult Connection::HandleWritable() {
+  // Draining a backlog is its own stage; a send's own write belongs to the
+  // stage that sends (push, fan_out), so no scope is opened per frame.
+  obs::ScopedStage stage(&obs::StageProfiler::Global(), "write_flush");
+  return FlushSome();
+}
 
 Connection::IoResult Connection::HandleReadable() {
   // Severed inbound (stall / rx partition): leave whatever arrives in the
   // kernel buffer, exactly as a frozen process would.
   if (rx_blocked_) return IoResult::kOk;
+  // Headers and small frames arrive through the stack chunk, several per
+  // recv(2); a payload that still needs more than a chunk is received
+  // straight into its frame.
   std::uint8_t chunk[64 * 1024];
   for (;;) {
-    const ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
+    const std::span<std::uint8_t> next = parser_.Next();
+    const bool in_place = next.size() > sizeof(chunk);
+    std::uint8_t* dst = in_place ? next.data() : chunk;
+    const std::size_t want = in_place ? next.size() : sizeof(chunk);
+    const ssize_t n = recv(fd_, dst, want, 0);
     if (n > 0) {
-      if (metrics_ != nullptr) metrics_->CountRx(static_cast<std::size_t>(n));
+      const auto got = static_cast<std::size_t>(n);
+      if (metrics_ != nullptr) metrics_->CountRx(got);
       obs::ScopedStage stage(&obs::StageProfiler::Global(), "frame_parse");
       std::vector<Frame> frames;
-      if (!parser_.Feed(util::ByteSpan(chunk, static_cast<std::size_t>(n)),
-                        &frames)) {
+      const bool ok = in_place
+                          ? parser_.Commit(got, &frames)
+                          : parser_.Feed(util::ByteSpan(chunk, got), &frames);
+      if (!ok) {
         if (metrics_ != nullptr && metrics_->frame_errors != nullptr) {
           metrics_->frame_errors->Add(1.0);
         }
@@ -405,7 +460,7 @@ Connection::IoResult Connection::HandleReadable() {
         metrics_->frames_rx->Add(static_cast<double>(frames.size()));
       }
       for (auto& frame : frames) inbox_.push_back(std::move(frame));
-      if (static_cast<std::size_t>(n) < sizeof(chunk)) return IoResult::kOk;
+      if (got < want) return IoResult::kOk;
       continue;
     }
     if (n == 0) return IoResult::kClosed;
@@ -437,7 +492,9 @@ Connection::IoResult Connection::FlushOutput(int timeout_ms) {
       last_error_ = ErrnoString("poll");
       return IoResult::kError;
     }
-    if (ready > 0 && FlushSome() == IoResult::kError) return IoResult::kError;
+    if (ready > 0 && HandleWritable() == IoResult::kError) {
+      return IoResult::kError;
+    }
   }
   return IoResult::kOk;
 }
@@ -455,7 +512,7 @@ Connection::IoResult Connection::WaitFrame(Frame* out, int timeout_ms) {
       // Inbound is severed: polling POLLIN (or riding out POLLHUP) would
       // spin hot on the never-drained fd. Flush opportunistically, then
       // sleep a bounded slice so the deadline still fires.
-      if (wants_write() && FlushSome() == IoResult::kError) {
+      if (wants_write() && HandleWritable() == IoResult::kError) {
         return IoResult::kError;
       }
       std::this_thread::sleep_for(
@@ -471,7 +528,8 @@ Connection::IoResult Connection::WaitFrame(Frame* out, int timeout_ms) {
       return IoResult::kError;
     }
     if (ready == 0) continue;  // re-check the deadline
-    if ((pfd.revents & POLLOUT) != 0 && FlushSome() == IoResult::kError) {
+    if ((pfd.revents & POLLOUT) != 0 &&
+        HandleWritable() == IoResult::kError) {
       return IoResult::kError;
     }
     if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {

@@ -5,11 +5,17 @@
 //  - ListenOn / ConnectWithRetry: socket setup. Connects retry with
 //    exponential backoff (a worker may start before its server binds).
 //  - Connection: one non-blocking TCP_NODELAY socket carrying rpc frames.
-//    Outgoing frames go through a bounded write queue; incoming bytes go
-//    through an incremental FrameParser into an inbox. The same object
-//    serves two driving styles: the server's poll loop calls
-//    HandleReadable/HandleWritable from TcpServer::Poll, while a worker
-//    uses the blocking helpers (FlushOutput with a deadline, WaitFrame).
+//    A send writes the frame's header and the caller's payload with one
+//    sendmsg(2), behind anything already queued; only what the socket
+//    refuses is copied into a bounded write queue. Incoming bytes go
+//    through an incremental FrameParser into an inbox: headers and small
+//    frames through a 64 KiB stack chunk, a large payload recv(2)'d
+//    straight into its frame. On each side a bulk payload byte is copied
+//    only by the kernel's socket copy, and read once more by the CRC.
+//    The same object serves two driving styles: the server's poll loop
+//    calls HandleReadable/HandleWritable from TcpServer::Poll, while a
+//    worker uses the blocking helpers (FlushOutput with a deadline,
+//    WaitFrame).
 //  - TcpServer: listener plus N connections multiplexed through one
 //    poll(2) call, surfacing accepts/frames/disconnects via callbacks.
 //
@@ -131,11 +137,13 @@ class Connection {
   bool open() const { return fd_ >= 0; }
   void Close();
 
-  // Queue one frame (encoded here) or pre-encoded frame bytes (the shared
-  // pull payload is encoded once and fanned out to every worker as the
-  // same bytes). Attempts an opportunistic non-blocking flush. Returns
-  // false — with last_error() set — when the write queue bound would be
-  // exceeded or the connection is closed.
+  // Send one frame (its header encoded here, its payload written from
+  // where it lies) or pre-encoded frame bytes (the shared pull payload is
+  // encoded once and fanned out to every worker as the same bytes).
+  // Writes behind the queue without blocking; whatever the socket does
+  // not take is copied into the queue before returning. Returns false —
+  // with last_error() set — when the write queue bound would be exceeded
+  // or the connection is closed.
   bool SendFrame(MsgType type, std::uint64_t step, std::uint32_t tensor,
                  util::ByteSpan payload);
   bool SendEncoded(util::ByteSpan frame_bytes, std::size_t frame_count);
@@ -183,9 +191,17 @@ class Connection {
   void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
 
  private:
-  IoResult FlushSome();  // one non-blocking write pass
-  bool QueueAndFlush(const std::uint8_t* data, std::size_t size,
+  // One non-blocking write pass over the queue and then `head` and
+  // `body`, the pieces of a new frame; whatever of them the socket does
+  // not take is appended to the queue.
+  IoResult FlushSome(util::ByteSpan head = {}, util::ByteSpan body = {});
+  // The bound check, frames_tx and FlushSome.
+  bool QueueAndFlush(util::ByteSpan head, util::ByteSpan body,
                      std::size_t frame_count);
+  // One frame (head then body) or a batch of encoded frames (head alone)
+  // through the fault injector, then QueueAndFlush.
+  bool Send(util::ByteSpan head, util::ByteSpan body,
+            std::size_t frame_count);
 
   int fd_;
   const TransportMetrics* metrics_;

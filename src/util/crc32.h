@@ -3,10 +3,15 @@
 // (nn/checkpoint).
 //
 // Two implementations, one result. On x86-64 CPUs with SSE4.2 (checked
-// once, at the first call) the `crc32` instruction folds 8 bytes per step;
-// elsewhere a slice-by-4 table lookup (four 256-entry tables, 4 input bytes
-// per iteration) computes the same bits. Nothing selects between them but
-// the CPU: no build option, flag or environment variable.
+// once, at the first call) the `crc32` instruction folds 8 bytes per step.
+// Inputs of at least three short blocks run three independent `crc32`
+// chains over adjacent thirds of each 3-block run and merge them with
+// precomputed zero-byte shift tables (after Mark Adler's crc32c.c), so
+// the instruction's latency no longer bounds the speed; shorter inputs
+// and tails take one chain. Elsewhere a slice-by-4 table lookup (four
+// 256-entry tables, 4 input bytes per iteration) computes the same bits.
+// Nothing selects between them but the CPU: no build option, flag or
+// environment variable.
 //
 // Convention (matches leveldb/rocksdb crc32c): values are *finalized*
 // CRCs. Crc32cExtend(prev, ...) takes a finalized CRC and returns the
@@ -33,6 +38,11 @@ inline std::uint32_t Crc32c(const void* data, std::size_t n) {
 inline std::uint32_t Crc32c(ByteSpan s) { return Crc32c(s.data(), s.size()); }
 
 namespace internal {
+// Interleave block sizes of the hardware path: runs of 3 * kLong bytes
+// first, then runs of 3 * kShort, then a single chain.
+constexpr std::size_t kCrc32cLongBlock = 8192;
+constexpr std::size_t kCrc32cShortBlock = 256;
+
 // The portable slice-by-4 path, callable directly so tests can hold the
 // hardware path to it byte for byte.
 std::uint32_t Crc32cExtendTable(std::uint32_t crc, const void* data,

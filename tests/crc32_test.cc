@@ -1,7 +1,7 @@
 // CRC32C (Castagnoli) tests: published known-answer vectors, the
 // incremental-extend convention, alignment-independence, and bit-for-bit
 // agreement of the dispatched (hardware, where the CPU has it) path with
-// the slice-by-4 table path.
+// the slice-by-4 table path, interleaved blocks included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -106,6 +106,39 @@ TEST(Crc32c, DispatchedExtendMatchesTableAtEverySplitPoint) {
     const std::size_t rest = data.size() - split;
     ASSERT_EQ(Crc32cExtend(head, data.data() + split, rest),
               internal::Crc32cExtendTable(head, data.data() + split, rest))
+        << "split at " << split;
+  }
+}
+
+// The hardware path runs three interleaved chains over 3 * block runs
+// for two block sizes; the sweep above is too short to reach the long
+// ones. Lengths around every multiple-of-three boundary, at every
+// alignment, and every split of a ~100 KB input (so each chain, each
+// fold and each tail meets every phase) must match the table path.
+TEST(Crc32c, DispatchedInterleavedPathMatchesTablePath) {
+  constexpr std::size_t kLong = internal::kCrc32cLongBlock;
+  constexpr std::size_t kShort = internal::kCrc32cShortBlock;
+  const std::size_t big = 12 * kLong + 9 * kShort + 13;  // ~100 KB
+  std::vector<std::uint8_t> backing(big + 8);
+  Rng rng(16);
+  for (auto& b : backing) b = static_cast<std::uint8_t>(rng.Next());
+
+  for (const std::size_t block : {kShort, kLong}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::uint8_t* p = backing.data() + offset;
+      for (int delta = -17; delta <= 17; ++delta) {
+        const std::size_t n = 3 * block + delta;
+        ASSERT_EQ(Crc32c(p, n), internal::Crc32cExtendTable(0, p, n))
+            << "block " << block << " offset " << offset << " length " << n;
+      }
+    }
+  }
+
+  const std::uint32_t whole = internal::Crc32cExtendTable(0, backing.data(),
+                                                          big);
+  for (std::size_t split = 0; split <= big; ++split) {
+    const std::uint32_t head = Crc32c(backing.data(), split);
+    ASSERT_EQ(Crc32cExtend(head, backing.data() + split, big - split), whole)
         << "split at " << split;
   }
 }

@@ -1,7 +1,8 @@
 // Transport tests: Connection framing over real sockets with partial
 // reads/writes, bounded write queues, blocking-helper timeouts,
-// connect-with-retry behaviour against dead and late-binding ports, and
-// the TcpServer poll loop (accept / frame / disconnect callbacks).
+// connect-with-retry behaviour against dead and late-binding ports, the
+// TcpServer poll loop (accept / frame / disconnect callbacks), and the
+// write-through send path (partial sendmsg tails, order, faults).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -246,6 +247,144 @@ TEST(Connection, WireByteCountersMatchTraffic) {
   EXPECT_EQ(metrics.wire_bytes->value(), 2 * frame_bytes);
   EXPECT_EQ(metrics.frames_tx->value(), 1.0);
   EXPECT_EQ(metrics.frames_rx->value(), 1.0);
+}
+
+// ---- Write-through sends: header and payload leave with one sendmsg(2),
+// and only the tail the socket refuses is queued.
+
+// Interleave non-blocking drains on both ends until `want` frames arrived.
+std::vector<Frame> Exchange(Connection& a, Connection& b, std::size_t want) {
+  std::vector<Frame> got;
+  for (int i = 0; i < 100000 && got.size() < want; ++i) {
+    EXPECT_NE(a.HandleWritable(), Connection::IoResult::kError)
+        << a.last_error();
+    EXPECT_NE(b.HandleReadable(), Connection::IoResult::kError)
+        << b.last_error();
+    Frame frame;
+    while (b.PopFrame(&frame)) got.push_back(std::move(frame));
+  }
+  return got;
+}
+
+// Shrunken socket buffers make the first sendmsg(2) take only part of a
+// frame; the rest is queued and flushed later, byte for byte, and the
+// counters see exactly the frames and bytes of the traffic.
+TEST(ConnectionWriteThrough, SmallSocketBuffersLeaveATailThatArrivesIntact) {
+  obs::MetricsRegistry registry;
+  registry.set_enabled(true);
+  TransportMetrics tx_metrics = TransportMetrics::RegisterIn(registry);
+  obs::MetricsRegistry rx_registry;
+  rx_registry.set_enabled(true);
+  TransportMetrics rx_metrics = TransportMetrics::RegisterIn(rx_registry);
+
+  int fds[2];
+  MakeSocketPair(fds);
+  const int small = 8192;
+  ASSERT_EQ(setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)),
+            0);
+  ASSERT_EQ(setsockopt(fds[1], SOL_SOCKET, SO_RCVBUF, &small, sizeof(small)),
+            0);
+  Connection a(fds[0], &tx_metrics);
+  Connection b(fds[1], &rx_metrics);
+
+  const std::vector<util::ByteBuffer> payloads = {
+      MakePayload(300000, 1), MakePayload(10, 2), MakePayload(0, 3),
+      MakePayload(90000, 4)};
+  double bytes = 0.0;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    ASSERT_TRUE(a.SendFrame(MsgType::kPush, 7, static_cast<std::uint32_t>(i),
+                            payloads[i].span()))
+        << a.last_error();
+    if (i == 0) {
+      EXPECT_TRUE(a.wants_write());  // a tail was queued
+    }
+    bytes += static_cast<double>(kFrameHeaderBytes + payloads[i].size());
+  }
+  const std::vector<Frame> got = Exchange(a, b, payloads.size());
+  ASSERT_EQ(got.size(), payloads.size());
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    EXPECT_EQ(got[i].header.tensor, i);
+    EXPECT_EQ(got[i].payload, payloads[i]) << "frame " << i;
+  }
+  EXPECT_FALSE(a.wants_write());
+  EXPECT_EQ(tx_metrics.frames_tx->value(), 4.0);
+  EXPECT_EQ(tx_metrics.wire_tx_bytes->value(), bytes);
+  EXPECT_EQ(rx_metrics.frames_rx->value(), 4.0);
+  EXPECT_EQ(rx_metrics.wire_rx_bytes->value(), bytes);
+}
+
+// A frame sent while an earlier one is still queued goes behind it, both
+// from SendFrame and from pre-encoded SendEncoded bytes.
+TEST(ConnectionWriteThrough, SendsBehindAQueueKeepFrameOrder) {
+  int fds[2];
+  MakeSocketPair(fds);
+  Connection a(fds[0]);
+  Connection b(fds[1]);
+
+  util::ByteBuffer big = MakePayload(2u << 20, 5);
+  ASSERT_TRUE(a.SendFrame(MsgType::kPull, 1, 0, big.span()));
+  ASSERT_TRUE(a.wants_write());
+  util::ByteBuffer small = MakePayload(40, 6);
+  ASSERT_TRUE(a.SendFrame(MsgType::kPull, 1, 1, small.span()));
+  util::ByteBuffer encoded;
+  EncodeFrame(MsgType::kPull, 1, 2, small.span(), encoded);
+  ASSERT_TRUE(a.SendEncoded(encoded.span(), 1));
+  ASSERT_TRUE(a.SendFrame(MsgType::kPull, 1, 3, big.span()));
+
+  const std::vector<Frame> got = Exchange(a, b, 4);
+  ASSERT_EQ(got.size(), 4u);
+  for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(got[i].header.tensor, i);
+  EXPECT_EQ(got[0].payload, big);
+  EXPECT_EQ(got[1].payload, small);
+  EXPECT_EQ(got[2].payload, small);
+  EXPECT_EQ(got[3].payload, big);
+}
+
+// Faults still act on SendFrame's frame although it is never assembled in
+// one buffer: a corrupted frame reaches the peer as a CRC failure, and a
+// dropped one is swallowed while the next frame arrives.
+TEST(ConnectionWriteThrough, CorruptAndDropFaultsActOnSendFrame) {
+  util::ByteBuffer payload = MakePayload(200000, 7);
+  {
+    int fds[2];
+    MakeSocketPair(fds);
+    Connection a(fds[0]);
+    Connection b(fds[1]);
+    FaultInjector injector(/*seed=*/8);
+    std::string spec_error;
+    ASSERT_TRUE(injector.AddRulesFromSpec("corrupt:push@3", &spec_error))
+        << spec_error;
+    a.set_fault_injector(&injector);
+    ASSERT_TRUE(a.SendFrame(MsgType::kPush, 3, 0, payload.span()));
+    Connection::IoResult r = Connection::IoResult::kOk;
+    for (int i = 0; i < 100000 && r != Connection::IoResult::kError; ++i) {
+      ASSERT_NE(a.HandleWritable(), Connection::IoResult::kError);
+      r = b.HandleReadable();
+    }
+    EXPECT_EQ(r, Connection::IoResult::kError);
+    EXPECT_EQ(b.parse_error(), ParseError::kBadCrc);
+    EXPECT_EQ(b.inbox_size(), 0u);
+  }
+  {
+    int fds[2];
+    MakeSocketPair(fds);
+    Connection a(fds[0]);
+    Connection b(fds[1]);
+    FaultInjector injector(/*seed=*/9);
+    std::string spec_error;
+    ASSERT_TRUE(injector.AddRulesFromSpec("drop:push@3", &spec_error))
+        << spec_error;
+    a.set_fault_injector(&injector);
+    ASSERT_TRUE(a.SendFrame(MsgType::kPush, 3, 0, payload.span()));
+    EXPECT_FALSE(a.wants_write());
+    ASSERT_TRUE(a.SendFrame(MsgType::kPush, 4, 1, payload.span()));
+    const std::vector<Frame> got = Exchange(a, b, 1);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].header.step, 4u);
+    EXPECT_EQ(got[0].payload, payload);
+    EXPECT_EQ(b.HandleReadable(), Connection::IoResult::kOk);
+    EXPECT_EQ(b.inbox_size(), 0u);
+  }
 }
 
 TEST(ConnectWithRetry, DeadPortFailsAfterBoundedRetries) {
