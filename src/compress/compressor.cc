@@ -1,5 +1,6 @@
 #include "compress/compressor.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace threelc::compress {
@@ -20,6 +21,12 @@ void LoadFloats(ByteReader& in, std::vector<float>& v, const char* codec) {
   in.ReadInto(v.data(), v.size() * sizeof(float));
 }
 
+double L2Norm(const std::vector<float>& v) {
+  double sq = 0.0;
+  for (const float x : v) sq += static_cast<double>(x) * static_cast<double>(x);
+  return std::sqrt(sq);
+}
+
 void Compressor::Encode(const Tensor& in, Context& ctx, ByteBuffer& out,
                         EncodeStats* stats) const {
   if (stats == nullptr) {
@@ -30,6 +37,10 @@ void Compressor::Encode(const Tensor& in, Context& ctx, ByteBuffer& out,
   EncodeImpl(in, ctx, out, stats);
   stats->elements = static_cast<std::size_t>(in.num_elements());
   stats->payload_bytes = out.size() - before;
+  if (const std::optional<double> l2 = ctx.ResidualL2()) {
+    stats->has_residual = true;
+    stats->residual_l2 = *l2;
+  }
 }
 
 Tensor RoundTrip(const Compressor& codec, const Tensor& in, Context& ctx) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,13 @@ class Context {
   // stateless codecs write and read nothing.
   virtual void SaveState(ByteBuffer& out) const { (void)out; }
   virtual void LoadState(ByteReader& in) { (void)in; }
+
+  // L2 norm of the persistent buffer that holds what the wire has not
+  // carried yet (the error-accumulation buffer, or a local-steps
+  // accumulator) as of the last encode; nullopt when the codec keeps none.
+  // It reads the state without changing it, so callers may ask at any
+  // point between encodes.
+  virtual std::optional<double> ResidualL2() const { return std::nullopt; }
 };
 
 // Bulk (de)serialization of a context's persistent float buffer: u64
@@ -56,11 +64,17 @@ class Context {
 void SaveFloats(ByteBuffer& out, const std::vector<float>& v);
 void LoadFloats(ByteReader& in, std::vector<float>& v, const char* codec);
 
+// sqrt of the serial double sum of v[i]^2, in index order: the one L2 norm
+// every ResidualL2 override returns.
+double L2Norm(const std::vector<float>& v);
+
 // Per-encode statistics sink for the observability layer. Callers that want
 // telemetry pass a (zeroed) EncodeStats to Encode; codecs fill the fields
 // they produce and leave the rest at their "absent" defaults. Filling stats
-// may cost extra passes over the tensor, so the null-stats path stays the
-// hot path.
+// costs extra passes over the tensor (the residual norm is a serial double
+// sum over every element), so the null-stats path is the hot path: a
+// caller on a step's critical path encodes without stats and, if it needs
+// only the residual norm, asks the context's ResidualL2() off that path.
 struct EncodeStats {
   // Filled generically for every codec.
   std::size_t elements = 0;
@@ -75,7 +89,8 @@ struct EncodeStats {
   std::size_t zre_bytes_in = 0;
   std::size_t zre_bytes_out = 0;
   // L2 norm of the error-accumulation buffer *after* this encode — the
-  // paper's error-behaviour measurements (Fig. 7 discussion).
+  // paper's error-behaviour measurements (Fig. 7 discussion). Filled from
+  // Context::ResidualL2(), so it is that value bit for bit.
   bool has_residual = false;
   double residual_l2 = 0.0;
 
@@ -106,8 +121,8 @@ class Compressor {
   }
 
   // As above, additionally filling `stats` (when non-null) with element
-  // count, payload size, and whatever codec-specific fields this codec
-  // produces.
+  // count, payload size, the context's residual norm, and whatever
+  // codec-specific fields this codec produces.
   void Encode(const Tensor& in, Context& ctx, ByteBuffer& out,
               EncodeStats* stats) const;
 
@@ -120,7 +135,7 @@ class Compressor {
 
  protected:
   // Codec body. `stats` is null on the hot path; implementations only
-  // spend extra work (symbol counts, residual norms) when it is non-null.
+  // spend extra work (symbol counts, zero-run bytes) when it is non-null.
   virtual void EncodeImpl(const Tensor& in, Context& ctx, ByteBuffer& out,
                           EncodeStats* stats) const = 0;
 };

@@ -1,6 +1,6 @@
 #include "compress/local_steps.h"
 
-#include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -29,6 +29,12 @@ class LocalStepsContext final : public Context {
     step_ = static_cast<int>(in.ReadU32());
   }
 
+  // The local accumulator is this scheme's "error" buffer: state changes
+  // withheld from the wire until the next send step.
+  std::optional<double> ResidualL2() const override {
+    return L2Norm(accum_);
+  }
+
   std::vector<float> accum_;
   int step_ = 0;
 };
@@ -50,7 +56,7 @@ std::unique_ptr<Context> LocalSteps::MakeContext(const Shape& shape) const {
 }
 
 void LocalSteps::EncodeImpl(const Tensor& in, Context& ctx, ByteBuffer& out,
-                            EncodeStats* stats) const {
+                            EncodeStats*) const {
   auto& c = static_cast<LocalStepsContext&>(ctx);
   const auto n = static_cast<std::size_t>(in.num_elements());
   THREELC_CHECK_MSG(c.accum_.size() == n, "context/tensor shape mismatch");
@@ -62,16 +68,6 @@ void LocalSteps::EncodeImpl(const Tensor& in, Context& ctx, ByteBuffer& out,
   if (send) {
     out.Append(acc, n * sizeof(float));
     for (std::size_t i = 0; i < n; ++i) acc[i] = 0.0f;
-  }
-  if (stats != nullptr) {
-    // The local accumulator is this scheme's "error" buffer: state changes
-    // withheld from the wire until the next send step.
-    stats->has_residual = true;
-    double sq = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sq += static_cast<double>(acc[i]) * static_cast<double>(acc[i]);
-    }
-    stats->residual_l2 = std::sqrt(sq);
   }
 }
 

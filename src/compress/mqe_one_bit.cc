@@ -1,6 +1,6 @@
 #include "compress/mqe_one_bit.h"
 
-#include <cmath>
+#include <optional>
 #include <vector>
 
 #include "util/logging.h"
@@ -26,6 +26,10 @@ class MqeContext final : public Context {
     LoadFloats(in, residual_, "MQE 1-bit");
   }
 
+  std::optional<double> ResidualL2() const override {
+    return L2Norm(residual_);
+  }
+
   std::vector<float> residual_;
   std::vector<float> accum_;  // scratch
 };
@@ -37,7 +41,7 @@ std::unique_ptr<Context> MqeOneBit::MakeContext(const Shape& shape) const {
 }
 
 void MqeOneBit::EncodeImpl(const Tensor& in, Context& ctx, ByteBuffer& out,
-                           EncodeStats* stats) const {
+                           EncodeStats*) const {
   auto& c = static_cast<MqeContext&>(ctx);
   const auto n = static_cast<std::size_t>(in.num_elements());
   THREELC_CHECK_MSG(c.accum_.size() == n, "context/tensor shape mismatch");
@@ -79,14 +83,6 @@ void MqeOneBit::EncodeImpl(const Tensor& in, Context& ctx, ByteBuffer& out,
     bits[i / 8] |= static_cast<std::uint8_t>(nonneg) << (i % 8);
     const float deq = nonneg ? mean_nonneg : mean_neg;
     res[i] = acc[i] - deq;
-  }
-  if (stats != nullptr) {
-    stats->has_residual = true;
-    double sq = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sq += static_cast<double>(res[i]) * static_cast<double>(res[i]);
-    }
-    stats->residual_l2 = std::sqrt(sq);
   }
 }
 

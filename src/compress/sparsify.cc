@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -32,6 +33,10 @@ class SparsifyContext final : public Context {
     rng_.LoadState(in);
   }
 
+  std::optional<double> ResidualL2() const override {
+    return L2Norm(residual_);
+  }
+
   std::vector<float> residual_;
   std::vector<float> accum_;  // scratch
   util::Rng rng_;
@@ -58,7 +63,7 @@ std::unique_ptr<Context> Sparsify::MakeContext(const Shape& shape) const {
 }
 
 void Sparsify::EncodeImpl(const Tensor& in, Context& ctx, ByteBuffer& out,
-                          EncodeStats* stats) const {
+                          EncodeStats*) const {
   auto& c = static_cast<SparsifyContext&>(ctx);
   const auto n = static_cast<std::size_t>(in.num_elements());
   THREELC_CHECK_MSG(c.accum_.size() == n, "context/tensor shape mismatch");
@@ -110,14 +115,6 @@ void Sparsify::EncodeImpl(const Tensor& in, Context& ctx, ByteBuffer& out,
     if ((out.data()[bitmap_pos + i / 8] >> (i % 8)) & 1) out.AppendF32(acc[i]);
   }
   std::memcpy(out.data() + count_pos, &count, sizeof(count));
-  if (stats != nullptr) {
-    stats->has_residual = true;
-    double sq = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sq += static_cast<double>(res[i]) * static_cast<double>(res[i]);
-    }
-    stats->residual_l2 = std::sqrt(sq);
-  }
 }
 
 void Sparsify::Decode(ByteReader& in, Tensor& out) const {

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -48,6 +49,11 @@ class ThreeLCContext final : public Context {
           ", context has ea=" + std::to_string(has_residual_));
     }
     LoadFloats(in, residual_, "3LC");
+  }
+
+  std::optional<double> ResidualL2() const override {
+    if (!has_residual_) return std::nullopt;
+    return L2Norm(residual_);
   }
 
   bool has_residual_;
@@ -120,22 +126,6 @@ class ZeroRunWriter {
   std::size_t run_ = 0;
 };
 
-// Symbol counts of quartic bytes. Zeros are derived from the element
-// count at the end, so padding digits (1) count as nothing.
-struct SymbolCounts {
-  std::size_t positives = 0;
-  std::size_t negatives = 0;
-
-  void Add(const std::uint8_t* bytes, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-      for (unsigned b = bytes[i], j = 0; j < kQuarticGroup; ++j, b /= 3) {
-        positives += b % 3 == 2;
-        negatives += b % 3 == 0;
-      }
-    }
-  }
-};
-
 // Base-3 digits of every quartic byte, most significant first.
 constexpr auto kDigits = [] {
   std::array<std::array<std::uint8_t, kQuarticGroup>, kQuarticMaxByte + 1> t{};
@@ -146,6 +136,33 @@ constexpr auto kDigits = [] {
   }
   return t;
 }();
+
+// (+1 digits, -1 digits) of every quartic byte: digit 2 is q = +1 and
+// digit 0 is q = -1.
+constexpr auto kSignCounts = [] {
+  std::array<std::array<std::uint8_t, 2>, kQuarticMaxByte + 1> t{};
+  for (unsigned b = 0; b <= kQuarticMaxByte; ++b) {
+    for (const std::uint8_t d : kDigits[b]) {
+      t[b][0] += d == 2;
+      t[b][1] += d == 0;
+    }
+  }
+  return t;
+}();
+
+// Symbol counts of quartic bytes. Zeros are derived from the element
+// count at the end, so padding digits (1) count as nothing.
+struct SymbolCounts {
+  std::size_t positives = 0;
+  std::size_t negatives = 0;
+
+  void Add(const std::uint8_t* bytes, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      positives += kSignCounts[bytes[i]][0];
+      negatives += kSignCounts[bytes[i]][1];
+    }
+  }
+};
 
 }  // namespace
 
@@ -246,14 +263,6 @@ void ThreeLC::EncodeImpl(const Tensor& in, Context& ctx, ByteBuffer& out,
       stats->has_zero_run = true;
       stats->zre_bytes_in = groups;
       stats->zre_bytes_out = len;
-    }
-    if (c.has_residual_) {
-      stats->has_residual = true;
-      double sq = 0.0;
-      for (const float r : c.residual_) {
-        sq += static_cast<double>(r) * static_cast<double>(r);
-      }
-      stats->residual_l2 = std::sqrt(sq);
     }
   }
 }

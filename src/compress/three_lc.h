@@ -55,8 +55,8 @@ class ThreeLC final : public Compressor {
   const ThreeLCOptions& options() const { return options_; }
 
  protected:
-  // Fills, when stats are requested: ternary symbol distribution, zero-run
-  // stage bytes in/out, and the error-accumulation buffer's L2 norm.
+  // Fills, when stats are requested: ternary symbol distribution and
+  // zero-run stage bytes in/out (the residual norm comes from the context).
   void EncodeImpl(const Tensor& in, Context& ctx, ByteBuffer& out,
                   EncodeStats* stats) const override;
 

@@ -11,21 +11,23 @@ MomentumSgd::MomentumSgd(MomentumOptions options) : options_(options) {}
 
 void MomentumSgd::ApplyGradients(std::vector<ParamRef>& params, float lr) {
   for (auto& p : params) {
-    auto [it, inserted] = velocity_.try_emplace(p.name, p.value->shape());
-    Tensor& v = it->second;
-    THREELC_CHECK_MSG(v.SameShape(*p.value), "velocity shape drift for "
-                                                 << p.name);
-    float* vel = v.data();
+    float* vel = Velocity(p).data();
     float* w = p.value->data();
     const float* g = p.grad->data();
-    const std::size_t n = v.size();
+    const std::size_t n = p.value->size();
     const float wd = p.weight_decay ? options_.weight_decay : 0.0f;
     const float mu = options_.momentum;
     for (std::size_t i = 0; i < n; ++i) {
-      vel[i] = mu * vel[i] + (g[i] + wd * w[i]);
-      w[i] -= lr * vel[i];
+      MomentumUpdate(g[i], mu, wd, lr, vel[i], w[i]);
     }
   }
+}
+
+Tensor& MomentumSgd::Velocity(const ParamRef& p) {
+  auto [it, inserted] = velocity_.try_emplace(p.name, p.value->shape());
+  THREELC_CHECK_MSG(it->second.SameShape(*p.value), "velocity shape drift for "
+                                                        << p.name);
+  return it->second;
 }
 
 const Tensor* MomentumSgd::velocity(const std::string& name) const {

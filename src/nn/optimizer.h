@@ -22,18 +22,34 @@ struct MomentumOptions {
   float weight_decay = 1e-4f;
 };
 
+// One element of the update: v = mu*v + (g + wd*w); w -= lr*v. The only
+// statement of the formula: ApplyGradients and the parameter server's
+// fused step both call it, so both perform the same float operations.
+inline void MomentumUpdate(float g, float mu, float wd, float lr, float& v,
+                           float& w) {
+  v = mu * v + (g + wd * w);
+  w -= lr * v;
+}
+
 // The parameter server owns one instance and runs it on aggregated
 // gradients each step.
 class MomentumSgd {
  public:
   explicit MomentumSgd(MomentumOptions options = {});
 
-  // Update each parameter in place: v = mu*v + (g + wd*w); w -= lr*v.
-  // Weight decay applies only to ParamRefs with weight_decay = true.
+  const MomentumOptions& options() const { return options_; }
+
+  // Update each parameter in place with MomentumUpdate from its grad
+  // tensor. Weight decay applies only to ParamRefs with weight_decay =
+  // true.
   void ApplyGradients(std::vector<ParamRef>& params, float lr);
 
   // Velocity buffer for one parameter (created lazily; keyed by name).
   const Tensor* velocity(const std::string& name) const;
+
+  // `p`'s velocity buffer, created zeroed on first use, for a caller that
+  // runs MomentumUpdate itself.
+  Tensor& Velocity(const ParamRef& p);
 
   // Velocities, serialized sorted by parameter name (the map's iteration
   // order is not deterministic; the file format must be). They are part

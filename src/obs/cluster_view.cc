@@ -151,6 +151,12 @@ std::size_t ClusterView::worker_count() const {
   return workers_.size();
 }
 
+double ClusterView::worker_ea_l2(int worker_id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = workers_.find(worker_id);
+  return it == workers_.end() ? 0.0 : it->second.ea_l2;
+}
+
 std::uint64_t ClusterView::straggler_flips() const {
   std::lock_guard<std::mutex> lock(mu_);
   return straggler_flips_;

@@ -129,6 +129,9 @@ class ClusterView {
                        const std::string& prefix = "threelc_") const;
 
   std::size_t worker_count() const;
+  // The ea_l2 of the worker's latest ingested record; 0 for an unknown
+  // worker.
+  double worker_ea_l2(int worker_id) const;
   std::uint64_t straggler_flips() const;
   int current_straggler() const;
 

@@ -3,10 +3,31 @@
 #include <stdexcept>
 #include <string>
 
-#include "tensor/tensor_ops.h"
 #include "util/logging.h"
 
 namespace threelc::ps {
+
+namespace {
+
+// The step's update of one tensor in one pass. Per element it performs the
+// float operations of the unfused sequence, in its order: the gradient sum
+// plus the last push, times 1/contributors (stored back: AggregatedGrad);
+// nn::MomentumUpdate; delta = w - prev; prev = w. The buffers never
+// overlap, which lets the loop vectorise without alias checks.
+void UpdateTensor(std::size_t n, float inv, float mu, float wd, float lr,
+                  float* __restrict agg, const float* __restrict last,
+                  float* __restrict vel, float* __restrict w,
+                  float* __restrict prev, float* __restrict delta) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const float g = (agg[k] + last[k]) * inv;
+    agg[k] = g;
+    nn::MomentumUpdate(g, mu, wd, lr, vel[k], w[k]);
+    delta[k] = w[k] - prev[k];
+    prev[k] = w[k];
+  }
+}
+
+}  // namespace
 
 ParameterServer::ParameterServer(nn::Model& global_model,
                                  const TensorPlan& plan,
@@ -42,9 +63,10 @@ ParameterServer::StepTimings ParameterServer::Step(
   THREELC_CHECK(!contributors.empty());
   obs::StageProfiler* prof = &obs::StageProfiler::Global();
   StepTimings ns;
-  for (Slot& slot : slots_) slot.agg_grad.SetZero();
+  const std::size_t last = contributors.size() - 1;
 
-  for (std::size_t w : contributors) {
+  for (std::size_t c = 0; c <= last; ++c) {
+    const std::size_t w = contributors[c];
     THREELC_CHECK(w < pushes.size() && pushes[w].size() == slots_.size());
     for (std::size_t t = 0; t < slots_.size(); ++t) {
       Slot& slot = slots_[t];
@@ -68,21 +90,38 @@ ParameterServer::StepTimings ParameterServer::Step(
       if (!reader.AtEnd()) {
         throw std::runtime_error("trailing bytes in" + where());
       }
+      // The last contributor's values stay in scratch for the update pass.
+      if (c == last) continue;
       obs::ScopedStage stage(prof, "aggregate", &ns.aggregate_ns, span);
-      tensor::Add(slot.agg_grad, slot.scratch);
+      float* agg = slot.agg_grad.data();
+      const float* src = slot.scratch.data();
+      const std::size_t n = slot.agg_grad.size();
+      if (c == 0) {
+        // 0 + x, not a copy: the sum of one -0.0 is +0.0.
+        for (std::size_t k = 0; k < n; ++k) agg[k] = 0.0f + src[k];
+      } else {
+        for (std::size_t k = 0; k < n; ++k) agg[k] += src[k];
+      }
     }
   }
 
   {
-    // Install the averaged gradients into the model's grad tensors, then
-    // step the optimizer on the global parameters.
+    // Average, momentum SGD on the global parameters, delta and snapshot,
+    // one pass per tensor. Every push decoded above, so a malformed one
+    // has thrown before any model state changed.
     obs::ScopedStage stage(prof, "optimize", &ns.optimize_ns, span);
     const float inv = 1.0f / static_cast<float>(contributors.size());
+    const nn::MomentumOptions& opt = optimizer_.options();
     for (std::size_t i = 0; i < slots_.size(); ++i) {
-      tensor::Scale(slots_[i].agg_grad, inv);
-      *params_[i].grad = slots_[i].agg_grad;
+      Slot& slot = slots_[i];
+      const nn::ParamRef& p = params_[i];
+      if (last == 0) slot.agg_grad.SetZero();  // the sum before the one push
+      UpdateTensor(slot.agg_grad.size(), inv, opt.momentum,
+                   p.weight_decay ? opt.weight_decay : 0.0f, lr,
+                   slot.agg_grad.data(), slot.scratch.data(),
+                   optimizer_.Velocity(p).data(), p.value->data(),
+                   slot.prev_value.data(), slot.delta.data());
     }
-    optimizer_.ApplyGradients(params_, lr);
   }
 
   {
@@ -93,13 +132,6 @@ ParameterServer::StepTimings ParameterServer::Step(
     }
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       Slot& slot = slots_[i];
-      const tensor::Tensor& value = *params_[i].value;
-      float* delta = slot.delta.data();
-      const float* now = value.data();
-      const float* prev = slot.prev_value.data();
-      for (std::size_t k = 0; k < value.size(); ++k) {
-        delta[k] = now[k] - prev[k];
-      }
       slot.pull_payload.Clear();
       if (plan_->entry(i).compressed) {
         codec_->Encode(slot.delta, *slot.pull_ctx, slot.pull_payload,
@@ -107,7 +139,6 @@ ParameterServer::StepTimings ParameterServer::Step(
       } else {
         slot.pull_payload.Append(slot.delta.data(), slot.delta.byte_size());
       }
-      slot.prev_value = value;
     }
   }
   return ns;

@@ -54,20 +54,27 @@ class ParameterServer {
   // One synchronous server step (paper Fig. 2):
   //  - decode: each contributor's push `pushes[w][t]` (one stage-1 codec
   //    payload per tensor), for every w in `contributors` (ascending
-  //    worker ids), through the codec;
-  //  - aggregate: add it into the tensor's gradient sum, in that order, so
-  //    every caller performs the same float additions;
-  //  - optimize: average over contributors.size() and run momentum SGD on
-  //    the global model;
-  //  - encode: compress each post-update model delta once into the shared
-  //    pull payload (§3) all workers apply.
-  // Pushes of workers not in `contributors` are never read. Each phase is
-  // one ScopedStage per call (decode and aggregate one per tensor per
-  // contributor), traced on `span` when it names an enabled tracer. When
+  //    worker ids), through the codec, worker-major;
+  //  - aggregate: add every contributor's push but the last into the
+  //    tensor's gradient sum, in that order, so every caller performs the
+  //    same float additions (the first writes 0 + x);
+  //  - optimize: one pass per tensor that adds the last push, averages
+  //    over contributors.size() into AggregatedGrad, runs momentum SGD on
+  //    the global model, and writes the model delta and the new snapshot;
+  //  - encode: compress each model delta once into the shared pull
+  //    payload (§3) all workers apply.
+  // Every float operation, and its order, is that of summing from zero,
+  // scaling, MomentumSgd::ApplyGradients, then delta and snapshot, so the
+  // result is theirs bit for bit. The global model's grad tensors are
+  // neither read nor written. Pushes of workers not in `contributors` are
+  // never read. Each phase is one ScopedStage per call (decode one per
+  // tensor per contributor, aggregate one per tensor per contributor but
+  // the last), traced on `span` when it names an enabled tracer. When
   // `pull_stats` is non-null it is resized to the plan size and each
   // compressed entry's encode instrumentation is recorded in place.
   // Throws std::runtime_error naming the worker and tensor when a push
-  // does not decode or leaves trailing bytes.
+  // does not decode or leaves trailing bytes; every push is decoded before
+  // the model, the optimizer or the pull state changes.
   StepTimings Step(const std::vector<std::vector<ByteBuffer>>& pushes,
                    const std::vector<std::size_t>& contributors, float lr,
                    const obs::SpanTarget& span = {},
@@ -101,8 +108,8 @@ class ParameterServer {
   std::vector<nn::ParamRef> params_;
 
   struct Slot {
-    tensor::Tensor agg_grad;    // sum of decoded pushes this step
-    tensor::Tensor scratch;     // decode target
+    tensor::Tensor agg_grad;    // push sum, then the averaged gradient
+    tensor::Tensor scratch;     // decode target; holds the last push
     tensor::Tensor prev_value;  // snapshot for delta computation
     tensor::Tensor delta;       // scratch: value - prev_value
     std::unique_ptr<compress::Context> pull_ctx;  // compressed entries only

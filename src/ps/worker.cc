@@ -1,5 +1,7 @@
 #include "ps/worker.h"
 
+#include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -43,6 +45,15 @@ std::size_t Worker::EncodePush(std::size_t idx, ByteBuffer& out,
     }
   }
   return out.size() - before;
+}
+
+double Worker::ResidualL2() const {
+  double sq = 0.0;
+  for (const auto& ctx : push_ctx_) {
+    if (ctx == nullptr) continue;
+    if (const std::optional<double> l2 = ctx->ResidualL2()) sq += *l2 * *l2;
+  }
+  return std::sqrt(sq);
 }
 
 void Worker::ApplyPull(std::size_t idx, ByteReader& in) {

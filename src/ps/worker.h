@@ -39,6 +39,12 @@ class Worker {
   std::size_t EncodePush(std::size_t idx, ByteBuffer& out,
                          compress::EncodeStats* stats = nullptr);
 
+  // L2 norm of all push error-accumulation state: sqrt of the sum, over
+  // the compressed tensors in plan order, of each context's ResidualL2()
+  // squared (contexts of codecs without one add nothing). A read of the
+  // state the last EncodePush calls left; 0 when no context keeps one.
+  double ResidualL2() const;
+
   // Decode a pull payload for tensor `idx` and add the model delta to the
   // local parameter value.
   void ApplyPull(std::size_t idx, ByteReader& in);

@@ -1,7 +1,6 @@
 #include "rpc/runtime.h"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <sstream>
 #include <thread>
@@ -1814,12 +1813,9 @@ void RpcWorker::ComputeStep(std::int64_t step) {
   obs::ScopedStage stage(prof, "encode", &pending_telemetry_.encode_ns, span);
   const std::size_t num_tensors = plan_->size();
   pending_push_.resize(num_tensors);
-  double ea_sq = 0.0;
   for (std::size_t t = 0; t < num_tensors; ++t) {
     pending_push_[t].Clear();
-    compress::EncodeStats stats;
-    worker_->EncodePush(t, pending_push_[t], &stats);
-    if (stats.has_residual) ea_sq += stats.residual_l2 * stats.residual_l2;
+    worker_->EncodePush(t, pending_push_[t]);
     pending_telemetry_.stage1_bytes_out += pending_push_[t].size();
   }
   if (block_codec_->id() != blockcodec::kStoreId) {
@@ -1837,7 +1833,6 @@ void RpcWorker::ComputeStep(std::int64_t step) {
   for (std::size_t t = 0; t < num_tensors; ++t) {
     pending_telemetry_.bytes_out += pending_push_[t].size();
   }
-  pending_telemetry_.ea_l2 = std::sqrt(ea_sq);
   computed_through_ = step;
 }
 
@@ -1865,6 +1860,10 @@ RpcWorker::StepStatus RpcWorker::ReceivePulls(std::int64_t step, bool live) {
   std::vector<util::ByteBuffer> pulls(num_tensors);
   {
     obs::ScopedStage stage(prof, "pull_wait", &record.pull_wait_ns, span);
+    // The record's EA norm, read while the server works on this step: the
+    // step's pushes are flushed and nothing moves the push residuals until
+    // the next step's encode. A replayed step ships no record.
+    if (live) record.ea_l2 = worker_->ResidualL2();
     for (std::size_t t = 0; t < num_tensors; ++t) {
       Frame frame;
       const Connection::IoResult r =

@@ -2,8 +2,11 @@
 // contract every design must satisfy.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "compress/compressor.h"
@@ -12,8 +15,10 @@
 #include "compress/local_steps.h"
 #include "compress/mqe_one_bit.h"
 #include "compress/none.h"
+#include "compress/quartic.h"
 #include "compress/sparsify.h"
 #include "compress/stoch_three.h"
+#include "compress/three_lc.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
@@ -455,6 +460,203 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<CodecCase>& info) {
       return info.param.label;
     });
+
+// ---------- EncodeStats ----------
+
+// The persistent float buffer a context's SaveState writes after
+// `skip` leading bytes ([u64 count][floats]).
+std::vector<float> SavedFloats(const Context& ctx, std::size_t skip) {
+  util::ByteBuffer state;
+  ctx.SaveState(state);
+  util::ByteReader reader(state);
+  for (std::size_t i = 0; i < skip; ++i) reader.ReadU8();
+  std::vector<float> v(reader.ReadU64());
+  reader.ReadInto(v.data(), v.size() * sizeof(float));
+  return v;
+}
+
+// The residual norm written out: sqrt of the serial double sum of squares.
+double SerialL2(const std::vector<float>& v) {
+  double sq = 0.0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    sq += static_cast<double>(v[i]) * static_cast<double>(v[i]);
+  }
+  return std::sqrt(sq);
+}
+
+void ExpectSameBits(double a, double b, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+      << what << ": " << a << " vs " << b;
+}
+
+// n % 80 != 0 and n % 5 != 0: whole blocks, a tail block and a partial
+// last quartic group.
+constexpr std::int64_t kStatsElems = 1003;
+
+// Inputs for a few encodes into one context: blocks of alternating scale,
+// so some 80-element blocks quantize to all zeros and are skipped, then an
+// all-zero tensor (M == 0 without EA), then ±inf, so M is infinite and no
+// block may be skipped.
+std::vector<Tensor> StatsInputs() {
+  std::vector<Tensor> inputs;
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    Tensor t = RandomTensor(Shape{kStatsElems}, 900 + seed);
+    for (std::int64_t i = 0; i < kStatsElems; ++i) {
+      if ((i / 80) % 2 == 1) t[static_cast<std::size_t>(i)] *= 0.01f;
+    }
+    inputs.push_back(std::move(t));
+  }
+  inputs.emplace_back(Shape{kStatsElems});
+  Tensor inf = RandomTensor(Shape{kStatsElems}, 950);
+  inf[7] = std::numeric_limits<float>::infinity();
+  inf[500] = -std::numeric_limits<float>::infinity();
+  inputs.push_back(std::move(inf));
+  return inputs;
+}
+
+// Encodes every input twice, into a context without stats and one with,
+// and checks what the stats path must keep: the same bytes, the same
+// context state, and a residual norm that is the context's ResidualL2()
+// and the serial reference bit for bit. `state_skip` is the number of
+// bytes SaveState writes before the residual buffer. Returns each
+// encode's stats and payload for codec-specific checks.
+std::vector<std::pair<EncodeStats, util::ByteBuffer>> EncodeWithAndWithout(
+    const Compressor& codec, std::size_t state_skip,
+    const std::vector<Tensor>& inputs) {
+  auto plain = codec.MakeContext(Shape{kStatsElems});
+  auto with = codec.MakeContext(Shape{kStatsElems});
+  std::vector<std::pair<EncodeStats, util::ByteBuffer>> out;
+  for (std::size_t step = 0; step < inputs.size(); ++step) {
+    const std::string where = codec.name() + " encode " + std::to_string(step);
+    util::ByteBuffer want;
+    codec.Encode(inputs[step], *plain, want);
+    EncodeStats stats;
+    util::ByteBuffer got;
+    codec.Encode(inputs[step], *with, got, &stats);
+    EXPECT_TRUE(want == got) << where;
+    util::ByteBuffer state_plain, state_with;
+    plain->SaveState(state_plain);
+    with->SaveState(state_with);
+    EXPECT_TRUE(state_plain == state_with) << where;
+
+    EXPECT_EQ(stats.elements, static_cast<std::size_t>(kStatsElems)) << where;
+    EXPECT_EQ(stats.payload_bytes, got.size()) << where;
+    const std::optional<double> l2 = with->ResidualL2();
+    EXPECT_EQ(stats.has_residual, l2.has_value()) << where;
+    if (l2.has_value()) {
+      ExpectSameBits(stats.residual_l2, *l2, where + " stats vs ResidualL2");
+      ExpectSameBits(*l2, SerialL2(SavedFloats(*with, state_skip)),
+                     where + " ResidualL2 vs serial sum");
+    }
+    out.emplace_back(stats, std::move(got));
+  }
+  return out;
+}
+
+TEST(EncodeStats, ThreeLCStatsPathChangesNothingAndCountsExactly) {
+  for (const bool zre : {true, false}) {
+    for (const bool ea : {true, false}) {
+      const ThreeLC codec(ThreeLCOptions{1.0f, zre, ea});
+      const std::vector<Tensor> inputs = StatsInputs();
+      const auto encodes = EncodeWithAndWithout(codec, /*state_skip=*/1,
+                                                inputs);
+      ASSERT_EQ(encodes.size(), inputs.size());
+      bool saw_zero_m = false, saw_inf_m = false;
+      for (std::size_t step = 0; step < encodes.size(); ++step) {
+        const auto& [stats, payload] = encodes[step];
+        const std::string where =
+            codec.name() + " encode " + std::to_string(step);
+        util::ByteReader header(payload);
+        const float M = header.ReadF32();
+        const std::uint32_t len = header.ReadU32();
+        saw_zero_m |= M == 0.0f;
+        saw_inf_m |= std::isinf(M);
+
+        // Signs of the decoded values: M*(+1) > 0 and M*(-1) < 0 for every
+        // M > 0, infinite included (its zeros decode to NaN, counted as
+        // neither).
+        Tensor decoded(Shape{kStatsElems});
+        util::ByteReader reader(payload);
+        codec.Decode(reader, decoded);
+        std::size_t positives = 0, negatives = 0;
+        for (std::size_t i = 0; i < decoded.size(); ++i) {
+          positives += decoded[i] > 0.0f;
+          negatives += decoded[i] < 0.0f;
+        }
+        EXPECT_TRUE(stats.has_symbols) << where;
+        EXPECT_EQ(stats.positives, positives) << where;
+        EXPECT_EQ(stats.negatives, negatives) << where;
+        EXPECT_EQ(stats.zeros, decoded.size() - positives - negatives)
+            << where;
+
+        EXPECT_EQ(stats.has_zero_run, zre) << where;
+        if (zre) {
+          EXPECT_EQ(stats.zre_bytes_in,
+                    QuarticEncodedSize(static_cast<std::size_t>(kStatsElems)))
+              << where;
+          EXPECT_EQ(stats.zre_bytes_out, len) << where;
+          EXPECT_LE(stats.zre_bytes_out, stats.zre_bytes_in) << where;
+        } else {
+          EXPECT_EQ(stats.zre_bytes_in, 0u) << where;
+          EXPECT_EQ(stats.zre_bytes_out, 0u) << where;
+        }
+      }
+      // With EA the zero input still sees the residual, so M == 0 only
+      // without it.
+      EXPECT_EQ(saw_zero_m, !ea) << codec.name();
+      EXPECT_TRUE(saw_inf_m) << codec.name();
+    }
+  }
+}
+
+TEST(EncodeStats, ZeroRunHitsOnASparseEncode) {
+  const ThreeLC codec(ThreeLCOptions{1.9f, true, true});
+  auto ctx = codec.MakeContext(Shape{kStatsElems});
+  EncodeStats stats;
+  util::ByteBuffer out;
+  codec.Encode(StatsInputs()[0], *ctx, out, &stats);
+  EXPECT_LT(stats.zre_bytes_out, stats.zre_bytes_in);
+  EXPECT_GT(stats.ZreHitRate(), 0.0);
+  EXPECT_GT(stats.zeros, stats.positives + stats.negatives);
+}
+
+TEST(EncodeStats, MqeOneBitAndLocalStepsReportTheirBuffersNorm) {
+  const std::vector<Tensor> inputs = StatsInputs();
+  // Without the infinite input: its residual is NaN from then on.
+  const std::vector<Tensor> finite(inputs.begin(), inputs.end() - 1);
+  const MqeOneBit mqe;
+  for (const auto& [stats, payload] :
+       EncodeWithAndWithout(mqe, /*state_skip=*/0, finite)) {
+    EXPECT_TRUE(stats.has_residual);
+    EXPECT_GT(stats.residual_l2, 0.0);
+    EXPECT_FALSE(stats.has_symbols);
+    EXPECT_FALSE(stats.has_zero_run);
+  }
+  const LocalSteps local(2);
+  const auto encodes = EncodeWithAndWithout(local, /*state_skip=*/0, finite);
+  for (std::size_t step = 0; step < encodes.size(); ++step) {
+    const EncodeStats& stats = encodes[step].first;
+    EXPECT_TRUE(stats.has_residual);
+    // A send step empties the accumulator.
+    EXPECT_EQ(stats.residual_l2 == 0.0, step % 2 == 1) << "step " << step;
+  }
+}
+
+TEST(EncodeStats, StatelessCodecsHaveNoResidual) {
+  for (const CodecConfig& cfg :
+       {CodecConfig::Float32(), CodecConfig::EightBit()}) {
+    auto codec = MakeCompressor(cfg);
+    auto ctx = codec->MakeContext(Shape{kStatsElems});
+    EXPECT_FALSE(ctx->ResidualL2().has_value()) << codec->name();
+    EncodeStats stats;
+    util::ByteBuffer out;
+    codec->Encode(StatsInputs()[0], *ctx, out, &stats);
+    EXPECT_FALSE(stats.has_residual) << codec->name();
+    EXPECT_EQ(stats.payload_bytes, out.size()) << codec->name();
+  }
+  const ThreeLC no_ea(ThreeLCOptions{1.0f, true, false});
+  EXPECT_FALSE(no_ea.MakeContext(Shape{8})->ResidualL2().has_value());
+}
 
 }  // namespace
 }  // namespace threelc::compress

@@ -2,6 +2,7 @@
 // aggregation, shared compressed pulls, and worker/server consistency.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -351,6 +352,193 @@ TEST(PsLossy, StepRejectsBadPushNamingWorkerAndTensor) {
 
   // Each rejection happened before the optimizer ran; valid pushes step.
   EXPECT_NO_THROW(server.Step(valid, {0, 1, 2}, 0.1f));
+}
+
+// ---------- Step's arithmetic, held to the unfused sequence ----------
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.byte_size() == b.byte_size() &&
+         std::memcmp(a.data(), b.data(), a.byte_size()) == 0;
+}
+
+// The server step as whole-tensor passes, written out: sum the decoded
+// pushes from zero, scale, install the result as the model's gradients,
+// MomentumSgd::ApplyGradients, then each tensor's delta against the last
+// snapshot (encoded through a pull context of its own) and the new
+// snapshot. ParameterServer::Step must reproduce it bit for bit.
+class UnfusedServer {
+ public:
+  UnfusedServer(nn::Model& model, const TensorPlan& plan,
+                std::shared_ptr<const compress::Compressor> codec,
+                nn::MomentumOptions options)
+      : plan_(plan), codec_(std::move(codec)), sgd_(options),
+        params_(model.Params()) {
+    for (std::size_t t = 0; t < plan.size(); ++t) {
+      const Shape& shape = plan.entry(t).shape;
+      agg_.emplace_back(shape);
+      prev_.push_back(*params_[t].value);
+      pull_ctx_.push_back(plan.entry(t).compressed
+                              ? codec_->MakeContext(shape)
+                              : nullptr);
+      payload_.emplace_back();
+    }
+  }
+
+  void Step(const Pushes& pushes, const std::vector<std::size_t>& contributors,
+            float lr) {
+    for (Tensor& agg : agg_) agg.SetZero();
+    for (std::size_t w : contributors) {
+      for (std::size_t t = 0; t < plan_.size(); ++t) {
+        Tensor decoded(plan_.entry(t).shape);
+        util::ByteReader reader(pushes[w][t]);
+        if (plan_.entry(t).compressed) {
+          codec_->Decode(reader, decoded);
+        } else {
+          reader.ReadInto(decoded.data(), decoded.byte_size());
+        }
+        tensor::Add(agg_[t], decoded);
+      }
+    }
+    const float inv = 1.0f / static_cast<float>(contributors.size());
+    for (std::size_t t = 0; t < plan_.size(); ++t) {
+      tensor::Scale(agg_[t], inv);
+      *params_[t].grad = agg_[t];
+    }
+    sgd_.ApplyGradients(params_, lr);
+    for (std::size_t t = 0; t < plan_.size(); ++t) {
+      Tensor delta = *params_[t].value;
+      tensor::Sub(delta, prev_[t]);
+      payload_[t].Clear();
+      if (pull_ctx_[t] != nullptr) {
+        codec_->Encode(delta, *pull_ctx_[t], payload_[t]);
+      } else {
+        payload_[t].Append(delta.data(), delta.byte_size());
+      }
+      prev_[t] = *params_[t].value;
+    }
+  }
+
+  const Tensor& agg(std::size_t t) const { return agg_[t]; }
+  const util::ByteBuffer& payload(std::size_t t) const { return payload_[t]; }
+  const nn::MomentumSgd& sgd() const { return sgd_; }
+
+ private:
+  const TensorPlan& plan_;
+  std::shared_ptr<const compress::Compressor> codec_;
+  nn::MomentumSgd sgd_;
+  std::vector<nn::ParamRef> params_;
+  std::vector<Tensor> agg_;
+  std::vector<Tensor> prev_;
+  std::vector<std::unique_ptr<compress::Context>> pull_ctx_;
+  std::vector<util::ByteBuffer> payload_;
+};
+
+// The server's velocities, read back through its checkpoint blob (it
+// starts with the optimizer's SaveState).
+nn::MomentumSgd ServerVelocities(const ParameterServer& server) {
+  util::ByteBuffer blob;
+  server.SaveState(blob);
+  util::ByteReader reader(blob);
+  nn::MomentumSgd sgd;
+  sgd.LoadState(reader);
+  return sgd;
+}
+
+void ExpectStepMatchesUnfusedSequence(const CodecConfig& cfg) {
+  const nn::MomentumOptions options{0.9f, 1e-3f};
+  for (std::size_t count = 1; count <= 3; ++count) {
+    SCOPED_TRACE(std::to_string(count) + " contributor(s)");
+    auto fused_model = train::BuildMlp(TinySpec(), 21);
+    auto unfused_model = train::BuildMlp(TinySpec(), 21);
+    // min_elems = 20: fc1/W goes through the codec, the rest raw.
+    const auto plan = TensorPlan::FromParams(fused_model.Params(), 20);
+    ASSERT_TRUE(plan.entry(0).compressed);
+    ASSERT_FALSE(plan.entry(1).compressed);
+    auto codec = Codec(cfg);
+    ParameterServer server(fused_model, plan, codec, options);
+    UnfusedServer reference(unfused_model, plan, codec, options);
+
+    std::vector<nn::Model> worker_models;
+    std::vector<std::unique_ptr<Worker>> workers;
+    for (int w = 0; w < 3; ++w) {
+      worker_models.push_back(train::BuildMlp(TinySpec(), 21));
+    }
+    for (int w = 0; w < 3; ++w) {
+      workers.push_back(std::make_unique<Worker>(
+          w, worker_models[static_cast<std::size_t>(w)], plan, codec));
+    }
+    // Never just a prefix of the workers.
+    const std::vector<std::size_t> contributors =
+        count == 1   ? std::vector<std::size_t>{2}
+        : count == 2 ? std::vector<std::size_t>{0, 2}
+                     : std::vector<std::size_t>{0, 1, 2};
+
+    util::Rng rng(31 + count);
+    for (int step = 0; step < 4; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      Pushes pushes;
+      for (std::size_t w = 0; w < workers.size(); ++w) {
+        for (auto& p : worker_models[w].Params()) {
+          tensor::FillNormal(*p.grad, rng, 0.0f, 1.0f);
+          // Every worker pushes -0.0 in the first three places: their sum
+          // from zero is +0.0, a copy of the first push would be -0.0.
+          for (std::size_t k = 0; k < 3; ++k) (*p.grad)[k] = -0.0f;
+        }
+        pushes.push_back(EncodePushes(*workers[w], plan.size()));
+      }
+      const float lr = 0.05f + 0.01f * static_cast<float>(step);
+      server.Step(pushes, contributors, lr);
+      reference.Step(pushes, contributors, lr);
+
+      const nn::MomentumSgd velocities = ServerVelocities(server);
+      auto fused = fused_model.Params();
+      auto unfused = unfused_model.Params();
+      for (std::size_t t = 0; t < plan.size(); ++t) {
+        const std::string& name = fused[t].name;
+        EXPECT_TRUE(SameBits(*fused[t].value, *unfused[t].value)) << name;
+        EXPECT_TRUE(SameBits(server.AggregatedGrad(t), reference.agg(t)))
+            << name;
+        ASSERT_NE(velocities.velocity(name), nullptr) << name;
+        EXPECT_TRUE(SameBits(*velocities.velocity(name),
+                             *reference.sgd().velocity(name)))
+            << name;
+        const util::ByteSpan got = server.PullPayload(t);
+        const util::ByteBuffer& want = reference.payload(t);
+        EXPECT_TRUE(got.size() == want.size() &&
+                    std::memcmp(got.data(), want.data(), got.size()) == 0)
+            << name;
+      }
+    }
+
+    // A malformed push from the last contributor throws before any state
+    // changes: the model and the server's carried state stay as they were.
+    util::ByteBuffer state_before;
+    server.SaveState(state_before);
+    std::vector<Tensor> model_before;
+    for (auto& p : fused_model.Params()) model_before.push_back(*p.value);
+    Pushes bad;
+    for (auto& worker : workers) {
+      bad.push_back(EncodePushes(*worker, plan.size()));
+    }
+    bad[contributors.back()][plan.size() - 1].AppendU8(0);
+    EXPECT_THROW(server.Step(bad, contributors, 0.1f), std::runtime_error);
+    util::ByteBuffer state_after;
+    server.SaveState(state_after);
+    EXPECT_TRUE(state_before == state_after);
+    auto params = fused_model.Params();
+    for (std::size_t t = 0; t < params.size(); ++t) {
+      EXPECT_TRUE(SameBits(*params[t].value, model_before[t]))
+          << params[t].name;
+    }
+  }
+}
+
+TEST(PsStepParity, Float32PushesWithNegativeZeroMatchUnfusedSequence) {
+  ExpectStepMatchesUnfusedSequence(CodecConfig::Float32());
+}
+
+TEST(PsStepParity, ThreeLCPushesMatchUnfusedSequence) {
+  ExpectStepMatchesUnfusedSequence(CodecConfig::ThreeLC(1.0f));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,8 +44,10 @@ namespace threelc::rpc {
 namespace {
 
 // Run server + N worker threads over loopback; on success returns the
-// final global model.
-std::unique_ptr<nn::Model> RunTcpTraining(const TestSetup& setup) {
+// final global model. `worker_results`, when set, receives each worker's.
+std::unique_ptr<nn::Model> RunTcpTraining(
+    const TestSetup& setup,
+    std::vector<WorkerResult>* worker_results = nullptr) {
   const int num_workers = setup.config.trainer.num_workers;
   ServerHarness h = MakeServer(setup);
   std::string error;
@@ -69,6 +72,7 @@ std::unique_ptr<nn::Model> RunTcpTraining(const TestSetup& setup) {
         << "worker " << w << ": " << results[static_cast<std::size_t>(w)].error;
   }
   EXPECT_EQ(h.server->steps_completed(), setup.config.trainer.total_steps);
+  if (worker_results != nullptr) *worker_results = results;
   if (!server_ok) return nullptr;
   return std::move(h.model);
 }
@@ -242,6 +246,32 @@ TEST(RpcRuntime, PhaseTimingsAgreeAcrossJsonlTraceClusterzAndProfiler) {
   }
   std::remove(options.metrics_path.c_str());
   std::remove(options.trace_path.c_str());
+}
+
+// A worker reads its TELEMETRY record's EA norm while it waits for the
+// step's pulls, off the encode path. It must still be the norm of the
+// state the step's encode left, bit for bit: at the end of a 3LC run, each
+// worker's last record in the server's cluster view carries exactly the
+// combined residual norm of its push contexts.
+TEST(RpcRuntime, TelemetryEaNormIsTheWorkersResidualNorm) {
+  constexpr int kWorkers = 2;
+  TestSetup setup = MakeTestSetup(kWorkers, /*steps=*/5,
+                                  compress::CodecConfig::ThreeLC(1.0f));
+  obs::TelemetryOptions options;
+  options.per_tensor = false;
+  obs::Telemetry telemetry(options);
+  setup.telemetry = &telemetry;
+  std::vector<WorkerResult> results;
+  ASSERT_NE(RunTcpTraining(setup, &results), nullptr);
+  ASSERT_EQ(results.size(), static_cast<std::size_t>(kWorkers));
+  for (int w = 0; w < kWorkers; ++w) {
+    const double want = results[static_cast<std::size_t>(w)].residual_l2;
+    const double got = telemetry.cluster_view()->worker_ea_l2(w);
+    EXPECT_GT(want, 0.0) << "worker " << w;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "worker " << w << ": " << got << " vs " << want;
+  }
 }
 
 TEST(RpcRuntime, PlanHashIsOrderStableAndCodecSensitive) {

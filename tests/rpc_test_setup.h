@@ -85,6 +85,8 @@ struct WorkerResult {
   bool simulated_exit = false;
   std::size_t reconnects = 0;
   std::string error;
+  // The worker's push residual norm (ps::Worker::ResidualL2) at exit.
+  double residual_l2 = 0.0;
 };
 
 // One worker lifetime on the calling thread, mirroring
@@ -132,6 +134,7 @@ inline WorkerResult RunOneWorker(const TestSetup& setup, int worker_id,
   result.simulated_exit = worker.simulated_exit();
   result.reconnects = worker.reconnects();
   result.error = worker.error();
+  result.residual_l2 = ps_worker.ResidualL2();
   return result;
 }
 
